@@ -19,9 +19,7 @@ import argparse
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from .linalg import FinMatrix
 from .operads import (
@@ -97,15 +95,13 @@ class RunConfig:
     seed: int
     backend: str
     out: str | None
-    threads: int
 
     def meta(self) -> dict:
         return make_meta(self.p, self.truncation, self.backend, self.seed)
 
 
 def _config(args, p=None, truncation=None, backend="none") -> RunConfig:
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
+    if getattr(args, "threads", 1) < 1:
         raise UsageError("--threads must be at least 1")
     return RunConfig(
         p=p,
@@ -113,7 +109,6 @@ def _config(args, p=None, truncation=None, backend="none") -> RunConfig:
         seed=getattr(args, "seed", 0),
         backend=backend,
         out=getattr(args, "out", None),
-        threads=threads,
     )
 
 
@@ -338,24 +333,13 @@ def cmd_tw_certify_ass(args) -> int:
     return 0
 
 
-def _quasi_counts(X, dim: int, threads: int) -> dict:
-    counts = {}
-    for k in range(dim + 1):
-        buckets = enumerate_nerve_maps_split(X, cube_elements(k), _subset_leq)
-        work = partial(quasi_bucket, X, k)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(work, buckets))
-        else:
-            parts = [work(b) for b in buckets]
-        counts[k] = sum(len(part) for part in parts)
-    return counts
-
-
 def cmd_sset_quasi(args) -> int:
     X = resolve_sset(args.input)
     cfg = _config(args, truncation=args.dim, backend="enumerate")
-    counts = _quasi_counts(X, args.dim, cfg.threads)
+    counts = {}
+    for k in range(args.dim + 1):
+        buckets = enumerate_nerve_maps_split(X, cube_elements(k), _subset_leq)
+        counts[k] = sum(len(quasi_bucket(X, k, b)) for b in buckets)
     lines = [f"quasi {k}-simplices of {X.name or args.input}: {c}"
              for k, c in counts.items()]
     payload = {"space": X.name or args.input,
@@ -480,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed recorded in artifacts and used by rand: "
                              "specs (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="parallelism bound; results do not depend on it")
+                        help="accepted for compatibility; changes neither "
+                             "results nor speed")
     common.add_argument("--out", metavar="FILE",
                         help="write the artifact (.json, or .csv for tables)")
 

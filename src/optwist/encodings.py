@@ -24,11 +24,12 @@ input per source), and the permutation-shaped sub-encoding.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .operads import DiscreteOperad
-from .pointed import PointedMap, enumerate_pointed_maps, sigma_f
-import itertools
+from .pointed import PointedMap, enumerate_pointed_maps, sigma_inv_values
+from .products import compose_blocks
 
 Seq = tuple[tuple, object]  # (input colors, output color)
 
@@ -61,9 +62,7 @@ class IbMorphism:
             raise ValueError("shape does not match the sequences")
         if len(self.alphas) != n:
             raise ValueError("need one component per source input")
-        object.__setattr__(
-            self, "_sigma_inv", sigma_f(self.f).inverse().values
-        )
+        object.__setattr__(self, "_sigma_inv", sigma_inv_values(self.f))
 
 
 def _zero_fiber_colors(alpha_target: Seq, f: PointedMap) -> tuple:
@@ -95,8 +94,6 @@ def ib_compose(P: DiscreteOperad, beta: IbMorphism, alpha: IbMorphism) -> IbMorp
     """beta after alpha; shapes compose the other way around."""
     if alpha.target != beta.source:
         raise ValueError("morphisms are not composable")
-    from .products import compose_blocks
-
     fa, fb = alpha.f, beta.f
     f = fa.compose(fb)
     gammas = []

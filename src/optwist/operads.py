@@ -17,12 +17,26 @@ Conventions, fixed once and used by every module downstream:
 Operads provided: associative, commutative (both unital, one 0-ary
 operation each), the unit operad on a color set, and the free reduced
 symmetric operad on planar generators of arity >= 2.
+
+Every operad carries ``blocks_memo``, the memo of
+``products.compose_blocks``, the composition step under every encoded
+arrow composite.  Keeping it is safe because:
+
+* the memoized function is pure: its inputs are immutable hashable
+  values (elements, label tuples) and nothing else enters the result;
+* an error is never stored: a composite above a truncation raises
+  ``ValueError`` on every call;
+* it is finite: at a fixed arity cap only finitely many inputs exist
+  (about 1,400 entries for ``ass()`` and 1,000 for ``com()`` after the
+  certificates at arity 4);
+* it lives exactly as long as the operad.  ``ass()`` and ``com()`` are
+  process singletons, so their memos serve every request in a process.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 MONO_COLOR = "x"
 LEAF = "L"
@@ -122,6 +136,12 @@ class SymCollection:
 class DiscreteOperad(SymCollection):
     # truncation None means every arity is available
     truncation: int | None = None
+
+    @cached_property
+    def blocks_memo(self) -> dict:
+        """``products.compose_blocks`` results, kept for the operad's
+        lifetime; see the module docstring for why this is safe."""
+        return {}
 
     def unit(self, color=MONO_COLOR):
         raise NotImplementedError
@@ -368,6 +388,13 @@ def check_operad_axioms(P: DiscreteOperad, max_arity: int, max_failures: int = 2
     Every instance whose operations all have arity <= max_arity is
     checked; returns a list of human-readable failures (empty = pass).
     Single-colored operads only.
+
+    The suites ask for the same composite many times over (the inner
+    composites of the associativity law recur for every outer
+    operation), so compositions go through a memo that lives only for
+    this call.  It changes no comparison: composition is a function of
+    its arguments, so a wrong composite is returned, and compared,
+    every time it is asked for.  An exception is never stored.
     """
     if not P.single_colored:
         raise ValueError("axiom checker handles single-colored operads")
@@ -377,14 +404,29 @@ def check_operad_axioms(P: DiscreteOperad, max_arity: int, max_failures: int = 2
         if len(fails) < max_failures:
             fails.append(msg)
 
+    memo: dict = {}
+
+    def compose(theta, fillers):
+        key = (theta, tuple(fillers))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = P.compose(theta, fillers)
+        return hit
+
     u = P.unit()
+
+    def partial_compose(theta, i, psi, k):
+        fillers = [u] * k
+        fillers[i - 1] = psi
+        return compose(theta, fillers)
+
     m0 = _min_arity(P)
 
     for k in range(m0, max_arity + 1):
         for x in P.level(k):
-            if P.compose(u, [x]) != x:
+            if compose(u, [x]) != x:
                 report(f"left unit fails on {x!r}")
-            if k >= 1 and P.compose(x, [u] * k) != x:
+            if k >= 1 and compose(x, [u] * k) != x:
                 report(f"right unit fails on {x!r}")
 
     # full associativity: composing in two stages agrees with composing
@@ -394,18 +436,18 @@ def check_operad_axioms(P: DiscreteOperad, max_arity: int, max_failures: int = 2
             n_total = sum(ns)
             for x in P.level(k):
                 for ys in itertools.product(*[P.level(n) for n in ns]):
-                    xy = P.compose(x, list(ys))
+                    xy = compose(x, ys)
                     for ms in _splits(max_arity, n_total, m0):
                         for zs in itertools.product(*[P.level(m) for m in ms]):
-                            lhs = P.compose(xy, list(zs))
+                            lhs = compose(xy, zs)
                             inner = []
                             pos = 0
                             for i, n in enumerate(ns):
                                 inner.append(
-                                    P.compose(ys[i], list(zs[pos : pos + n]))
+                                    compose(ys[i], zs[pos : pos + n])
                                 )
                                 pos += n
-                            rhs = P.compose(x, inner)
+                            rhs = compose(x, inner)
                             if lhs != rhs:
                                 report(
                                     f"associativity fails: x={x!r} ys={ys!r} zs={zs!r}"
@@ -421,14 +463,14 @@ def check_operad_axioms(P: DiscreteOperad, max_arity: int, max_failures: int = 2
                     for y in P.level(n):
                         if n >= 1:
                             for i in range(1, k + 1):
-                                xi_y = P.partial_compose(x, i, y, k)
+                                xi_y = partial_compose(x, i, y, k)
                                 for z in P.level(m):
                                     for j in range(1, n + 1):
-                                        lhs = P.partial_compose(
+                                        lhs = partial_compose(
                                             xi_y, i + j - 1, z, k + n - 1
                                         )
-                                        rhs = P.partial_compose(
-                                            x, i, P.partial_compose(y, j, z, n), k
+                                        rhs = partial_compose(
+                                            x, i, partial_compose(y, j, z, n), k
                                         )
                                         if lhs != rhs:
                                             report(
@@ -437,10 +479,10 @@ def check_operad_axioms(P: DiscreteOperad, max_arity: int, max_failures: int = 2
                         for z in P.level(m):
                             for i in range(1, k + 1):
                                 for j in range(i + 1, k + 1):
-                                    a = P.partial_compose(x, i, y, k)
-                                    lhs = P.partial_compose(a, j + n - 1, z, k + n - 1)
-                                    b = P.partial_compose(x, j, z, k)
-                                    rhs = P.partial_compose(b, i, y, k + m - 1)
+                                    a = partial_compose(x, i, y, k)
+                                    lhs = partial_compose(a, j + n - 1, z, k + n - 1)
+                                    b = partial_compose(x, j, z, k)
+                                    rhs = partial_compose(b, i, y, k + m - 1)
                                     if lhs != rhs:
                                         report(
                                             f"disjoint shape fails at i={i} j={j}"
@@ -451,16 +493,16 @@ def check_operad_axioms(P: DiscreteOperad, max_arity: int, max_failures: int = 2
         for ns in _splits(max_arity, k, m0):
             for x in P.level(k):
                 for ys in itertools.product(*[P.level(n) for n in ns]):
-                    base = P.compose(x, list(ys))
+                    base = compose(x, ys)
                     for sigma in perms(k):
-                        lhs = P.compose(
+                        lhs = compose(
                             P.act(x, sigma), [ys[sigma[i] - 1] for i in range(k)]
                         )
                         rhs = P.act(base, block_permutation(sigma, ns))
                         if lhs != rhs:
                             report(f"outer equivariance fails: sigma={sigma}")
                     for taus in itertools.product(*[perms(n) for n in ns]):
-                        lhs = P.compose(
+                        lhs = compose(
                             x, [P.act(y, t) for y, t in zip(ys, taus)]
                         )
                         rhs = P.act(base, direct_sum_permutation(taus))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
 
 
@@ -61,9 +62,22 @@ class PointedMap:
             raise ValueError("maps not composable")
         return PointedMap(other.n, self.m, tuple(self(v) for v in other.values))
 
+    @cached_property
+    def fibers(self) -> tuple[tuple[int, ...], ...]:
+        """``fibers[i]`` is the sorted fiber of i, for ``i = 0..m``.
+
+        Built in one pass over the values on first use and kept on the
+        instance (outside the dataclass fields, so equality and hashing
+        do not see it).
+        """
+        blocks: list[list[int]] = [[] for _ in range(self.m + 1)]
+        for j, v in enumerate(self.values, start=1):
+            blocks[v].append(j)
+        return tuple(map(tuple, blocks))
+
     def fiber(self, i: int) -> tuple[int, ...]:
         """Elements of ``1..n`` sent to i (basepoint excluded for i = 0)."""
-        return tuple(j for j in range(1, self.n + 1) if self.values[j - 1] == i)
+        return self.fibers[i]
 
     def is_bijective(self) -> bool:
         return self.n == self.m and sorted(self.values) == list(range(1, self.m + 1))
@@ -195,9 +209,7 @@ def fiber_sequence(f: PointedMap) -> tuple[tuple[int, ...], ...]:
 
     Concatenating the blocks reads off a permutation of ``1..n``.
     """
-    blocks = [f.fiber(i) for i in range(1, f.m + 1)]
-    blocks.append(f.fiber(0))
-    return tuple(blocks)
+    return f.fibers[1:] + f.fibers[:1]
 
 
 def sigma_f(f: PointedMap) -> Permutation:
@@ -211,6 +223,16 @@ def sigma_f(f: PointedMap) -> Permutation:
     for block in fiber_sequence(f):
         flat.extend(block)
     return Permutation(tuple(flat))
+
+
+@lru_cache(maxsize=None)
+def sigma_inv_values(f: PointedMap) -> tuple[int, ...]:
+    """Value tuple of ``sigma_f(f).inverse()``, computed once per map.
+
+    Keyed by the map's value (a pure function of immutable data); the
+    maps seen in one process are bounded by the arities it works at.
+    """
+    return sigma_f(f).inverse().values
 
 
 def iota(g: MonotoneMap) -> PointedMap:

@@ -57,7 +57,26 @@ def compose_blocks(P: DiscreteOperad, theta, labeled_fillers):
     ``labeled_fillers`` is a list of (sorted label tuple, element) in
     slot order.  The raw composite lists inputs block-major; the result
     is twisted so its q-th input is the q-th smallest label overall.
+
+    Results are memoized in ``P.blocks_memo`` under ``(theta, labeled
+    fillers)``.  That is safe because the function is pure: operad
+    elements and labels are immutable hashable values, and the result
+    depends on nothing else.  An exception (an arity above a
+    truncation) leaves no entry, so the same call raises again.  The
+    memo lives as long as the operad; ``ass()`` and ``com()`` are
+    process singletons, and at a fixed arity cap the distinct inputs
+    are finitely many.
     """
+    key = (theta, tuple(labeled_fillers))
+    memo = P.blocks_memo
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _compose_blocks(P, theta, labeled_fillers)
+    return hit
+
+
+def _compose_blocks(P: DiscreteOperad, theta, labeled_fillers):
+    """``compose_blocks`` without the memo."""
     raw = P.compose(theta, [psi for _, psi in labeled_fillers])
     flat: list[tuple] = []
     pos = 1
@@ -268,12 +287,6 @@ def tower_height(t) -> int:
         h += 1
         t = t[2][0][1]
     return h
-
-
-def tower_arity(t) -> int:
-    if is_node(t):
-        return sum(len(B) for B, _ in t[2])
-    raise ValueError("arity of a bare element is not recorded on it")
 
 
 def _require_reduced(P: DiscreteOperad):

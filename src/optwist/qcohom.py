@@ -54,10 +54,6 @@ def _neg(a, p):
     return (-a) % p if p else -a
 
 
-def _inv(a, p):
-    return pow(a, -2 + p, p) if p else Fraction(1) / Fraction(a)
-
-
 def _apply(mat: FinMatrix, vec, p):
     """mat @ vec for a plain list vector."""
     out = [0] * mat.nrows

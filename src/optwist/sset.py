@@ -658,24 +658,6 @@ def un_to_quasi(u: UnSimplex) -> NerveMap:
     return NerveMap(tuple(sorted(flipped)))
 
 
-def quasi_to_un(X: FinSimplicialSet, q: QuasiSimplex, variance: str) -> UnSimplex:
-    """Rebuild the family of an unstraightening simplex from its cube."""
-    n = q.n
-    family = []
-    if variance == "right":
-        for i in range(n + 1):
-            lo = tuple(range(i + 1))
-            items = tuple(
-                sorted(
-                    (c, q.cube.value(tuple(tuple(sorted(set(a) | set(lo))) for a in c)))
-                    for c in strict_chains(p_right(n, i), _subset_leq)
-                )
-            )
-            family.append(items)
-        return UnSimplex("right", n, tuple(family))
-    raise ValueError("only the right variance rebuilds directly from a cube")
-
-
 # -- unstraightening over a nerve (set-valued) ----------------------------
 
 

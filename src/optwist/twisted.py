@@ -241,12 +241,22 @@ def sigma_equivalence(P: DiscreteOperad, src_obj, sigma: tuple):
 
 
 def is_equivalence(P: DiscreteOperad, triple) -> bool:
+    src, tgt, _ = triple
+    back = enumerate_ib(P, mono_seq(P, tgt[0]), mono_seq(P, src[0]))
+    return _has_inverse_in(P, triple, back)
+
+
+def _has_inverse_in(P: DiscreteOperad, triple, back: list) -> bool:
+    """Search ``back`` = Ib(target arity, source arity), in order, for a
+    two-sided inverse of the triple's arrow; the arrows acting tgt to
+    src are exactly ``tw_hom(P, tgt, src)``."""
     src, tgt, alpha = triple
     e_src = ib_identity(P, mono_seq(P, src[0]))
     e_tgt = ib_identity(P, mono_seq(P, tgt[0]))
-    for _, _, beta in tw_hom(P, tgt, src):
+    for beta in back:
         if (
-            ib_compose(P, beta, alpha) == e_src
+            act(P, beta, tgt[1]) == src[1]
+            and ib_compose(P, beta, alpha) == e_src
             and ib_compose(P, alpha, beta) == e_tgt
         ):
             return True
@@ -311,10 +321,12 @@ def certify_tw_com(N: int, full_compose_upto: int = 3, sample: int = 20000,
                 homs_ml = by_pair[(m, l)]
                 homs_nl = by_pair[(n, l)]
                 small = max(n, m, l) <= full_compose_upto
+                pairs += len(homs_nm) * len(homs_ml)
                 for fa, alpha in homs_nm.items():
+                    # fa . fb read off one table per fa (see _compose_shape)
+                    shape = ((0,) + fa).__getitem__
                     for fb, beta in homs_ml.items():
-                        pairs += 1
-                        expected = _compose_shape(fa, fb)
+                        expected = tuple(map(shape, fb))
                         if small or rng.random() < p_generic:
                             gf = ib_compose(P, beta, alpha)
                             generic += 1
@@ -439,11 +451,13 @@ def certify_tw_ass(N: int) -> dict:
 
     links = 0
     for n in range(N + 1):
+        seq = mono_seq(P, n)
+        endos = enumerate_ib(P, seq, seq)
         for nu in P.level(n):
             tr = sigma_equivalence(P, mu[n], nu)
             if tr[1] != (n, nu):
                 raise CertificationError(f"permutation arrow misses {nu!r}")
-            if not is_equivalence(P, tr):
+            if not _has_inverse_in(P, tr, endos):
                 raise CertificationError(f"permutation arrow not invertible: {nu!r}")
             links += 1
 

@@ -153,6 +153,21 @@ class TestAxiomSuites:
 
         assert check_operad_axioms(Broken(), 3) != []
 
+    def test_checker_notices_one_wrong_composite(self):
+        # wrong only at (1,2) o ((1,2), (1,)), whose right answer is (1,2,3);
+        # the checker's memo returns the wrong value every time it is
+        # asked, so the laws that cross it still fail
+        class Planted(AssOperad):
+            def compose(self, theta, fillers):
+                out = ass_compose(theta, fillers)
+                if (theta, tuple(fillers)) == ((1, 2), ((1, 2), (1,))):
+                    return (2, 1, 3)
+                return out
+
+        assert Planted().compose((1, 2), [(1, 2), (1,)]) == (2, 1, 3)
+        assert check_operad_axioms(Planted(), 3) != []
+        assert check_operad_axioms(Planted(), 4) != []
+
 
 class TestFreeReduced:
     def test_level_sizes(self):

@@ -15,6 +15,7 @@ from optwist.pointed import (
     in_iota_image,
     iota,
     sigma_f,
+    sigma_inv_values,
 )
 
 
@@ -75,6 +76,15 @@ class TestPointedMap:
         assert f.fiber(0) == (2,)
         assert f.fiber(1) == (4,)
         assert f.fiber(2) == (1, 3)
+
+    def test_fiber_lookup_matches_scan(self):
+        for n in range(4):
+            for m in range(4):
+                for f in enumerate_pointed_maps(n, m):
+                    for i in range(m + 1):
+                        scan = tuple(j for j in range(1, n + 1) if f(j) == i)
+                        assert f.fiber(i) == scan
+                    assert sigma_inv_values(f) == sigma_f(f).inverse().values
 
 
 class TestPermutation:

@@ -18,6 +18,7 @@ from optwist.products import (
     InfinitesimalCollection,
     ProductCollection,
     SymmetrizedCollection,
+    _compose_blocks,
     compose_blocks,
     free_infinitesimal_bimodule,
     is_node,
@@ -55,6 +56,52 @@ def test_compose_blocks_on_contiguous_labels_is_plain_composition():
     psis = [(1, 2), (2, 1)]
     labeled = [((1, 2), psis[0]), ((3, 4), psis[1])]
     assert compose_blocks(P, theta, labeled) == P.compose(theta, psis)
+
+
+def _labeled_sweep(P, max_total):
+    """(theta, labeled fillers) over every theta of arity <= 2, fillers
+    of total arity <= max_total, and every way of dealing the labels
+    1..n into the filler blocks."""
+    lo = 0 if P.level(0) else 1
+    for k in range(3):
+        for ns in itertools.product(range(lo, 3), repeat=k):
+            n = sum(ns)
+            if n > max_total:
+                continue
+            for theta in P.level(k):
+                for psis in itertools.product(*[P.level(a) for a in ns]):
+                    for order in itertools.permutations(range(1, n + 1)):
+                        labeled, pos = [], 0
+                        for a, psi in zip(ns, psis):
+                            labeled.append((tuple(sorted(order[pos:pos + a])), psi))
+                            pos += a
+                        yield theta, labeled
+
+
+@pytest.mark.parametrize("make", [AssOperad, ComOperad,
+                                  lambda: FreeReducedOperad((("m", 2),), truncation=4)],
+                         ids=["ass", "com", "free:m:2"])
+def test_compose_blocks_memo_matches_uncached(make):
+    P = make()
+    seen = 0
+    for theta, labeled in _labeled_sweep(P, 4):
+        expected = _compose_blocks(P, theta, labeled)
+        assert compose_blocks(P, theta, labeled) == expected
+        # the second call is answered from the memo
+        assert compose_blocks(P, theta, list(labeled)) == expected
+        seen += 1
+    assert seen > 0
+    assert 0 < len(P.blocks_memo) <= seen
+
+
+def test_compose_blocks_memo_never_stores_an_error():
+    P = FreeReducedOperad((("m", 2),), truncation=3)
+    m2 = P.level(2)[0]
+    labeled = [((1, 2), m2), ((3, 4), m2)]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            compose_blocks(P, m2, labeled)
+    assert P.blocks_memo == {}
 
 
 class TestProductCollection:

@@ -141,6 +141,20 @@ def test_certify_tw_ass_small():
     )
 
 
+def test_certify_tw_com_4_certificate():
+    assert certify_tw_com(4) == {
+        "objects": 5, "morphisms": 1279, "pairs": 848469,
+        "generic_pairs": 29903,
+    }
+
+
+def test_certify_tw_ass_4_certificate():
+    assert certify_tw_ass(4) == {
+        "objects": 34, "hom_pairs": 25, "witnesses": 456,
+        "functorial_pairs": 73085, "sigma_links": 34,
+    }
+
+
 def test_fincategory_check_catches_broken_identity():
     objs = ("x",)
     bad_id = ("x", "x", "not-id")
