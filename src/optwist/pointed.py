@@ -33,6 +33,12 @@ from functools import cached_property, lru_cache
 from math import comb
 
 
+# Sets a field of a frozen dataclass, as its generated __init__ does.
+# Setting the fields one by one (not through ``__dict__.update``) keeps
+# the instance dict as compact as one built by ``__init__``.
+_set_field = object.__setattr__
+
+
 @dataclass(frozen=True)
 class PointedMap:
     """Basepoint-preserving map ``<n> -> <m>``, f(0) = 0 implicit.
@@ -57,10 +63,23 @@ class PointedMap:
         return self.values[i - 1]
 
     def compose(self, other: "PointedMap") -> "PointedMap":
-        """self after other: ``<k> -> <n> -> <m>``."""
+        """self after other: ``<k> -> <n> -> <m>``.
+
+        The composite is built without re-running the checks of
+        ``__post_init__``; it satisfies them by construction.  other has
+        k values, each in ``0..n``, so the composite has k values, the
+        source arity it claims.  Each value is ``self(v)`` for some v in
+        ``0..n``, which is 0 or a value of self, so it lies in ``0..m``.
+        Only the composability of the pair is checked here.
+        """
         if other.m != self.n:
             raise ValueError("maps not composable")
-        return PointedMap(other.n, self.m, tuple(self(v) for v in other.values))
+        table = (0,) + self.values
+        out = object.__new__(PointedMap)
+        _set_field(out, "n", other.n)
+        _set_field(out, "m", self.m)
+        _set_field(out, "values", tuple(table[v] for v in other.values))
+        return out
 
     @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -165,10 +184,24 @@ class MonotoneMap:
         return self.values[i]
 
     def compose(self, other: "MonotoneMap") -> "MonotoneMap":
-        """self after other: ``[l] -> [m] -> [n]``."""
+        """self after other: ``[l] -> [m] -> [n]``.
+
+        The composite is built without re-running the checks of
+        ``__post_init__``; it satisfies them by construction.  other has
+        l+1 values, each in ``0..m``, so the composite has l+1 values,
+        each a value of self and so in ``0..n``.  If ``a <= b`` are
+        consecutive values of other, then ``self(a) <= self(b)`` because
+        self is weakly increasing, so the composite is weakly increasing
+        too.  Only the composability of the pair is checked here.
+        """
         if other.n != self.m:
             raise ValueError("maps not composable")
-        return MonotoneMap(other.m, self.n, tuple(self.values[v] for v in other.values))
+        values = self.values
+        out = object.__new__(MonotoneMap)
+        _set_field(out, "m", other.m)
+        _set_field(out, "n", self.n)
+        _set_field(out, "values", tuple(values[v] for v in other.values))
+        return out
 
     def is_constant(self) -> bool:
         return self.values[0] == self.values[-1]

@@ -17,6 +17,14 @@ diagram definition (families over the per-vertex posets with naturality
 against the rigidification mapping posets) so that the bijection with
 ``quasi_simplices`` is a theorem checked on both sides, not an
 implementation identity.
+
+Each pure combinatorial fact is computed once.  A ``FinSimplicialSet``
+is immutable after construction, so its simplicial action is memoized
+on the instance.  The chains of the cube posets, the pushes along the
+retractions and the naturality pairs depend only on the dimension, the
+vertex and the variance, and are cached per module in ``lru_cache``
+tables of tuples.  No cache is keyed on a caller's order
+relation.
 """
 
 from __future__ import annotations
@@ -86,6 +94,11 @@ class FinSimplicialSet:
 
     ``cells[k]`` lists cell ids; ``faces[(k, cid, i)]`` is the i'th face
     of a nondegenerate k-cell as a Simp (possibly degenerate).
+
+    The instance is immutable after construction: ``__init__`` copies
+    its inputs and nothing writes ``cells`` or ``faces`` later.  So
+    ``apply`` and ``simplices`` are pure functions of their arguments
+    and are memoized on the instance.
     """
 
     def __init__(self, cells: dict, faces: dict, name: str = ""):
@@ -93,24 +106,39 @@ class FinSimplicialSet:
         self.faces = dict(faces)
         self.name = name
         self.D = max(self.cells, default=-1)
+        self._apply_memo: dict = {}
+        self._simplices_memo: dict = {}
 
     def face(self, k: int, cid, i: int) -> Simp:
         return self.faces[(k, cid, i)]
 
-    def simplices(self, n: int) -> list:
-        """All n-simplices, degenerate ones included."""
-        out = []
-        for e in sorted(self.cells):
-            if e > n:
-                break
-            for cid in self.cells[e]:
-                for g in epis(n, e):
-                    out.append(Simp(e, cid, g))
+    def simplices(self, n: int) -> tuple:
+        """All n-simplices, degenerate ones included, computed once per
+        n."""
+        out = self._simplices_memo.get(n)
+        if out is None:
+            out = self._simplices_memo[n] = tuple(
+                Simp(e, cid, g)
+                for e in sorted(self.cells)
+                if e <= n
+                for cid in self.cells[e]
+                for g in epis(n, e)
+            )
         return out
 
     def apply(self, s: Simp, g: MonotoneMap) -> Simp:
         """The simplicial action s . g for any monotone g into s's
-        dimension, computed by peeling off missing vertices as faces."""
+        dimension, memoized under ``(s, g)``.  Errors are raised, never
+        stored."""
+        memo = self._apply_memo
+        key = (s, g)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._apply(s, g)
+        return out
+
+    def _apply(self, s: Simp, g: MonotoneMap) -> Simp:
+        """Uncached ``apply``: peel off missing vertices as faces."""
         if g.n != s.dim:
             raise ValueError("operator does not match the simplex dimension")
         h = s.epi.compose(g)
@@ -294,6 +322,21 @@ def p_left(i: int) -> list:
     return subsets_between((i,), tuple(range(i + 1)))
 
 
+@lru_cache(maxsize=None)
+def _cube_chains(n: int) -> tuple:
+    return tuple(strict_chains(cube_elements(n), _subset_leq))
+
+
+@lru_cache(maxsize=None)
+def _p_right_chains(n: int, i: int) -> tuple:
+    return tuple(strict_chains(p_right(n, i), _subset_leq))
+
+
+@lru_cache(maxsize=None)
+def _p_left_chains(i: int) -> tuple:
+    return tuple(strict_chains(p_left(i), _subset_leq))
+
+
 def rigid_elements(i: int, j: int) -> list:
     if i > j:
         return []
@@ -311,9 +354,12 @@ def rigid_hom(n: int, i: int, j: int) -> FinSimplicialSet:
     return poset_nerve(els, _subset_leq, name=f"rigid({i},{j})")
 
 
+@lru_cache(maxsize=None)
 def normalize_weak(chain: tuple) -> tuple[tuple, MonotoneMap]:
     """Strictify a weakly increasing chain: returns (core chain, the
-    collapse of positions onto distinct values)."""
+    collapse of positions onto distinct values).  Cached per chain; in
+    this module the chains come from the cube-poset tables, which are
+    finite per dimension."""
     core = []
     positions = []
     for x in chain:
@@ -355,20 +401,29 @@ class NerveMap:
         ]
 
 
+@lru_cache(maxsize=None)
+def _face_operators(k: int) -> tuple:
+    """``(positions, face operator)`` for every nonempty subset of
+    ``[k]``, by size and then lexicographically."""
+    return tuple(
+        (pos, MonotoneMap(r - 1, k, pos))
+        for r in range(1, k + 2)
+        for pos in itertools.combinations(range(k + 1), r)
+    )
+
+
 def _try_assign(X, flag: tuple, s: Simp, assigned: dict):
     """Values forced on all subchains of a maximal flag by sending it
     to s; None on conflict with what is already assigned."""
-    k = len(flag) - 1
     fresh: dict = {}
-    for r in range(1, k + 2):
-        for pos in itertools.combinations(range(k + 1), r):
-            sub = tuple(flag[p] for p in pos)
-            val = X.apply(s, MonotoneMap(r - 1, k, pos))
-            known = assigned.get(sub, fresh.get(sub))
-            if known is None:
-                fresh[sub] = val
-            elif known != val:
-                return None
+    for pos, op in _face_operators(len(flag) - 1):
+        sub = tuple(flag[p] for p in pos)
+        val = X.apply(s, op)
+        known = assigned.get(sub, fresh.get(sub))
+        if known is None:
+            fresh[sub] = val
+        elif known != val:
+            return None
     return fresh
 
 
@@ -400,8 +455,9 @@ def enumerate_nerve_maps(X: FinSimplicialSet, elements, leq) -> list:
 def enumerate_nerve_maps_split(X: FinSimplicialSet, elements, leq) -> list:
     """The same enumeration as a list of buckets, one per value of the
     first maximal flag in simplex order.  Concatenating the buckets
-    reproduces enumerate_nerve_maps exactly, so workers can process
-    buckets independently and merge in order."""
+    reproduces enumerate_nerve_maps exactly.  This is the enumeration
+    route of the ``sset quasi`` command, which filters each bucket with
+    quasi_bucket."""
     flags = maximal_chains(elements, leq)
     if not flags:
         return [[NerveMap(())]]
@@ -451,26 +507,38 @@ class QuasiSimplex:
         }
 
 
+@lru_cache(maxsize=None)
+def _quasi_tables(n: int) -> tuple:
+    """Per coordinate i = 1..n: the chains of the back subcube (every
+    element contains [0,i]) and the pairs (c, c pushed along the
+    retraction A -> A + [0,i]) for the chains c whose elements all
+    contain i."""
+    tables = []
+    for i in range(1, n + 1):
+        prefix = set(range(i + 1))
+        back = tuple(
+            c for c in _cube_chains(n) if all(prefix <= set(a) for a in c)
+        )
+        pushes = tuple(
+            (c, tuple(tuple(sorted(set(a) | prefix)) for a in c))
+            for c in strict_chains(
+                [a for a in cube_elements(n) if i in a], _subset_leq
+            )
+        )
+        tables.append((back, pushes))
+    return tuple(tables)
+
+
 def _quasi_witnesses(cube: NerveMap, n: int):
     """Per coordinate i, check that the chains containing i evaluate
     through the retraction A -> A + [0,i]; returns the restrictions to
     the back subcubes or None on failure."""
     witnesses = []
-    for i in range(1, n + 1):
-        prefix = tuple(range(i + 1))
-        back = [
-            c
-            for c in strict_chains(p_right(n, 0), _subset_leq)
-            if all(set(prefix) <= set(a) for a in c)
-        ]
-        restriction = tuple((c, cube.value(c)) for c in back)
-        for c in strict_chains(
-            [a for a in cube_elements(n) if i in a], _subset_leq
-        ):
-            pushed = tuple(tuple(sorted(set(a) | set(prefix))) for a in c)
+    for back, pushes in _quasi_tables(n):
+        for c, pushed in pushes:
             if cube.value(c) != cube.value(pushed):
                 return None
-        witnesses.append(restriction)
+        witnesses.append(tuple((c, cube.value(c)) for c in back))
     return tuple(witnesses)
 
 
@@ -484,9 +552,9 @@ def quasi_simplices(X: FinSimplicialSet, n: int) -> list:
 
 
 def quasi_bucket(X: FinSimplicialSet, n: int, bucket: list) -> list:
-    """Filter one enumeration bucket down to quasi simplices; mapping
-    this over enumerate_nerve_maps_split and concatenating reproduces
-    quasi_simplices."""
+    """Filter one enumeration bucket down to quasi simplices.  The
+    ``sset quasi`` command maps this over enumerate_nerve_maps_split;
+    concatenating the results reproduces quasi_simplices."""
     out = []
     for cube in bucket:
         w = _quasi_witnesses(cube, n)
@@ -509,7 +577,7 @@ def cube_structure_map(
         raise ValueError("operator target must be the cube dimension")
     lo = tuple(range(delta(0) + 1))
     items = []
-    for c in strict_chains(cube_elements(delta.m), _subset_leq):
+    for c in _cube_chains(delta.m):
         pushed = tuple(
             tuple(sorted({delta(a) for a in A} | set(lo))) for A in c
         )
@@ -521,7 +589,7 @@ def unit_map(X: FinSimplicialSet, s: Simp) -> QuasiSimplex:
     """Collapse an n-simplex onto the n-cube through A -> max(A)."""
     n = s.dim
     items = []
-    for c in strict_chains(cube_elements(n), _subset_leq):
+    for c in _cube_chains(n):
         g = MonotoneMap(len(c) - 1, n, tuple(max(a) for a in c))
         items.append((c, X.apply(s, g)))
     cube = NerveMap(tuple(sorted(items)))
@@ -558,20 +626,54 @@ class UnSimplex:
         }
 
 
-def _family_maps(variance: str, n: int):
-    if variance == "right":
-        return [p_right(n, i) for i in range(n + 1)]
-    if variance == "left":
-        return [p_left(i) for i in range(n + 1)]
-    raise ValueError("variance must be 'left' or 'right'")
-
-
 def _product_chains(els1, els2):
     pairs = [(b, a) for b in els1 for a in els2]
     return strict_chains(
         pairs,
         lambda x, y: _subset_leq(x[0], y[0]) and _subset_leq(x[1], y[1]),
     )
+
+
+@lru_cache(maxsize=None)
+def _family_pushes(variance: str, n: int) -> tuple:
+    """Per vertex i, the chains c of its poset, sorted, each paired with
+    the chain of the base poset it restricts from: A -> A + [0,i] for
+    the right variance, A -> A + [i,n] for the left."""
+    if variance not in ("left", "right"):
+        raise ValueError("variance must be 'left' or 'right'")
+    tables = []
+    for i in range(n + 1):
+        if variance == "right":
+            chains, fixed = _p_right_chains(n, i), set(range(i + 1))
+        else:
+            chains, fixed = _p_left_chains(i), set(range(i, n + 1))
+        tables.append(tuple(sorted(
+            (c, tuple(tuple(sorted(set(a) | fixed)) for a in c))
+            for c in chains
+        )))
+    return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _naturality_pairs(variance: str, n: int) -> tuple:
+    """``(j, i, union, proj)`` for every vertex pair and every chain of
+    the product of the mapping poset with the vertex poset of i; member
+    j evaluated on the union chain must equal member i on the
+    projection.  Right variance: j < i and P_i = p_right(n, i).  Left
+    variance: i < j and P_i = p_left(i)."""
+    out = []
+    if variance == "right":
+        pairs = [(j, i) for j in range(n + 1) for i in range(j + 1, n + 1)]
+    else:
+        pairs = [(j, i) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    for j, i in pairs:
+        vertex_poset = p_right(n, i) if variance == "right" else p_left(i)
+        mapping_poset = rigid_elements(min(i, j), max(i, j))
+        for chain in _product_chains(mapping_poset, vertex_poset):
+            union = tuple(tuple(sorted(set(b) | set(a))) for b, a in chain)
+            proj = tuple(a for _, a in chain)
+            out.append((j, i, union, proj))
+    return tuple(out)
 
 
 def un_point(X: FinSimplicialSet, variance: str, n: int) -> list:
@@ -583,63 +685,25 @@ def un_point(X: FinSimplicialSet, variance: str, n: int) -> list:
     every pair of vertices, which is where the quasi conditions
     reappear.
     """
-    posets = _family_maps(variance, n)
+    pushes = _family_pushes(variance, n)
+    base_els = p_right(n, 0) if variance == "right" else p_left(n)
     out = []
-    if variance == "right":
-        base_els = posets[0]
-        for base in enumerate_nerve_maps(X, base_els, _subset_leq):
-            family = []
-            for i in range(n + 1):
-                lo = tuple(range(i + 1))
-                items = tuple(
-                    sorted(
-                        (c, base.value(tuple(tuple(sorted(set(a) | set(lo))) for a in c)))
-                        for c in strict_chains(posets[i], _subset_leq)
-                    )
-                )
-                family.append(items)
-            if _natural_right(family, n):
-                out.append(UnSimplex("right", n, tuple(family)))
-    else:
-        base_els = posets[n]
-        for base in enumerate_nerve_maps(X, base_els, _subset_leq):
-            family = []
-            for i in range(n + 1):
-                hi = tuple(range(i, n + 1))
-                items = tuple(
-                    sorted(
-                        (c, base.value(tuple(tuple(sorted(set(a) | set(hi))) for a in c)))
-                        for c in strict_chains(posets[i], _subset_leq)
-                    )
-                )
-                family.append(items)
-            if _natural_left(family, n):
-                out.append(UnSimplex("left", n, tuple(family)))
+    for base in enumerate_nerve_maps(X, base_els, _subset_leq):
+        family = tuple(
+            tuple((c, base.value(pushed)) for c, pushed in table)
+            for table in pushes
+        )
+        if _natural(family, variance, n):
+            out.append(UnSimplex(variance, n, family))
     return out
 
 
-def _natural_right(family, n: int) -> bool:
+def _natural(family, variance: str, n: int) -> bool:
     maps = [NerveMap(f) for f in family]
-    for j in range(n + 1):
-        for i in range(j + 1, n + 1):
-            for chain in _product_chains(rigid_elements(j, i), p_right(n, i)):
-                union = tuple(tuple(sorted(set(b) | set(a))) for b, a in chain)
-                proj = tuple(a for _, a in chain)
-                if maps[j].value(union) != maps[i].value(proj):
-                    return False
-    return True
-
-
-def _natural_left(family, n: int) -> bool:
-    maps = [NerveMap(f) for f in family]
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for chain in _product_chains(rigid_elements(i, j), p_left(i)):
-                union = tuple(tuple(sorted(set(b) | set(a))) for b, a in chain)
-                proj = tuple(a for _, a in chain)
-                if maps[j].value(union) != maps[i].value(proj):
-                    return False
-    return True
+    return all(
+        maps[j].value(union) == maps[i].value(proj)
+        for j, i, union, proj in _naturality_pairs(variance, n)
+    )
 
 
 def un_to_quasi(u: UnSimplex) -> NerveMap:

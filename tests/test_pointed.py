@@ -87,6 +87,45 @@ class TestPointedMap:
                     assert sigma_inv_values(f) == sigma_f(f).inverse().values
 
 
+class TestTrustedComposites:
+    """``compose`` skips ``__post_init__``; these plant errors to show the
+    checks still run where they must, and compare every small composite
+    with the validated construction."""
+
+    def test_bad_direct_construction_still_raises(self):
+        for bad in [(2, 1, (0, 2)), (2, 1, (0,)), (2, 1, (-1, 0))]:
+            with pytest.raises(ValueError):
+                PointedMap(*bad)
+        for bad in [(1, 2, (2, 0)), (1, 2, (0,)), (1, 2, (0, 3)), (1, 2, (-1, 0))]:
+            with pytest.raises(ValueError):
+                MonotoneMap(*bad)
+
+    def test_non_composable_compose_still_raises(self):
+        with pytest.raises(ValueError):
+            PointedMap.identity(2).compose(PointedMap.identity(3))
+        with pytest.raises(ValueError):
+            MonotoneMap.identity(2).compose(MonotoneMap.identity(3))
+
+    def test_pointed_composites_match_validated(self):
+        for k, n, m in itertools.product(range(4), repeat=3):
+            for g in enumerate_pointed_maps(k, n):
+                for f in enumerate_pointed_maps(n, m):
+                    got = f.compose(g)
+                    want = PointedMap(k, m, tuple(f(v) for v in g.values))
+                    assert type(got) is PointedMap
+                    assert got == want and hash(got) == hash(want)
+                    assert got.fibers == want.fibers
+
+    def test_monotone_composites_match_validated(self):
+        for l, m, n in itertools.product(range(4), repeat=3):
+            for g in enumerate_monotone(l, m):
+                for f in enumerate_monotone(m, n):
+                    got = f.compose(g)
+                    want = MonotoneMap(l, n, tuple(f(v) for v in g.values))
+                    assert type(got) is MonotoneMap
+                    assert got == want and hash(got) == hash(want)
+
+
 class TestPermutation:
     @given(permutations())
     def test_inverse(self, s):

@@ -9,6 +9,10 @@ from optwist.pointed import MonotoneMap, enumerate_monotone
 from optwist.sset import (
     FinSimplicialSet,
     Simp,
+    _cube_chains,
+    _p_left_chains,
+    _p_right_chains,
+    _subset_leq,
     boundary_simplex,
     check_functoriality,
     cube_elements,
@@ -23,6 +27,8 @@ from optwist.sset import (
     hom_r_model,
     nerve_chains,
     normalize_weak,
+    p_left,
+    p_right,
     poset_nerve,
     quasi_bucket,
     quasi_simplices,
@@ -94,6 +100,67 @@ def test_apply_associates_on_grid(data):
     l = data.draw(st.integers(0, 3))
     h = data.draw(st.sampled_from(enumerate_monotone(l, m)))
     assert X.apply(X.apply(s, g), h) == X.apply(s, g.compose(h))
+
+
+@pytest.mark.parametrize("X", CORPUS, ids=lambda X: X.name)
+def test_apply_memo_matches_uncached(X):
+    fresh = FinSimplicialSet(X.cells, X.faces, X.name)
+    for k in range(4):
+        for s in X.simplices(k):
+            for m in range(4):
+                for g in enumerate_monotone(m, k):
+                    assert X.apply(s, g) == fresh._apply(s, g)
+    assert fresh._apply_memo == {}
+
+
+def test_apply_memo_never_stores_an_error():
+    X = standard_simplex(2)
+    X.apply(X.simplices(1)[0], MonotoneMap.identity(1))
+    size = len(X._apply_memo)
+    s = X.simplices(2)[0]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            X.apply(s, MonotoneMap.identity(1))
+    assert len(X._apply_memo) == size
+
+
+def test_simplices_cached_as_tuple():
+    X = grid_nerve()
+    assert isinstance(X.simplices(2), tuple)
+    assert X.simplices(2) is X.simplices(2)
+
+
+def test_chain_tables_match_strict_chains():
+    for n in range(5):
+        assert isinstance(_cube_chains(n), tuple)
+        assert list(_cube_chains(n)) == strict_chains(cube_elements(n), _subset_leq)
+        for i in range(n + 1):
+            assert isinstance(_p_right_chains(n, i), tuple)
+            assert list(_p_right_chains(n, i)) == strict_chains(
+                p_right(n, i), _subset_leq
+            )
+        assert isinstance(_p_left_chains(n), tuple)
+        assert list(_p_left_chains(n)) == strict_chains(p_left(n), _subset_leq)
+
+
+# simplex counts per dimension 0..3; each enumeration must reach them
+CLOSED_FORM_COUNTS = {
+    "delta0": [1, 1, 1, 1],
+    "delta1": [2, 3, 4, 5],
+    "delta2": [3, 6, 10, 15],
+    "boundary2": [3, 6, 9, 12],
+    "grid2x2": [4, 9, 16, 25],
+}
+
+
+@pytest.mark.parametrize("X", CORPUS, ids=lambda X: X.name)
+def test_quasi_and_un_counts_match_simplex_counts(X):
+    want = CLOSED_FORM_COUNTS[X.name]
+    assert [X.count(n) for n in range(4)] == want
+    for n in range(4):
+        assert len(quasi_simplices(X, n)) == want[n]
+        for variance in ("left", "right"):
+            assert len(un_point(X, variance, n)) == want[n]
 
 
 def test_normalize_weak():
