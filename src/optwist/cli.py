@@ -75,8 +75,6 @@ from .twisted import (
     CertificationError,
     certify_tw_ass,
     certify_tw_com,
-    tw_category,
-    tw_com_fast,
     tw_hom,
 )
 
@@ -284,15 +282,12 @@ def cmd_operad_check(args) -> int:
     return 0 if not fails else 1
 
 
-def _tw_base(operad: str, N: int):
-    return tw_com_fast(N) if operad == "com" else tw_category(ass(), N)
-
-
 def cmd_tw_build(args) -> int:
     N = args.max_arity
-    C = _tw_base(args.operad, N)
+    hint = f"tw:{args.operad}:{N}"
+    C = build_base(hint)
     cfg = _config(args, truncation=N)
-    persist(C, args.out, cfg.meta(), hint=f"tw:{args.operad}:{N}")
+    persist(C, args.out, cfg.meta(), hint=hint)
     arrows = sum(len(h) for h in C.homs.values())
     print(f"tw({args.operad}) at arity <= {N}: {len(C.objects)} objects, "
           f"{arrows} morphisms -> {args.out}")
@@ -391,8 +386,8 @@ def cmd_qcohom(args) -> int:
     p = parse_field(args.field)
     N = args.max_arity
     a, b = parse_degrees(args.degrees, low=-1)
-    base = _tw_base(args.operad, N)
     hint = f"tw:{args.operad}:{N}"
+    base = build_base(hint)
     F = parse_functor(args.coeff, base, hint, p, args.seed)
     P = com() if args.operad == "com" else ass()
     cfg = _config(args, p=p, truncation=N, backend=args.backend)

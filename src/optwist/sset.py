@@ -490,9 +490,6 @@ class QuasiSimplex:
     def initial_vertex(self) -> Simp:
         return self.cube.vertex((0,))
 
-    def terminal_vertex(self) -> Simp:
-        return self.cube.vertex(tuple(range(self.n + 1)))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

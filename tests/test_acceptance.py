@@ -152,7 +152,7 @@ def test_criterion_05_com_constant_vanishing():
     assert all(out["table"][n] == 0 for n in range(5)), out["table"]
     # independent route: the direct cover resolution, affordable to
     # degree 2 (its term count grows geometrically past that)
-    M = f_operad(com(), 4, p=0, base=base, check="none")
+    M = f_operad(com(), 4, p=0, base=base)
     cover = ext(M, F, 2, backend="cover")
     assert cover == [0, 0, 0]
     report(5, 60, started,

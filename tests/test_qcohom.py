@@ -12,6 +12,7 @@ from optwist.qcohom import (
     ResolutionError,
     _generating_morphisms,
     _pointed_pullback,
+    _representables,
     bar_resolution,
     build_resolution,
     conormalized_cohomology,
@@ -37,7 +38,7 @@ from optwist.qcohom import (
     stable_cohomotopy,
     transport_to_tw,
 )
-from optwist.twisted import FinCategory, tw_com_fast
+from optwist.twisted import FinCategory, tw_category, tw_com_fast
 
 
 def poset_category():
@@ -121,9 +122,16 @@ def test_linear_functor_rejects_error_at_composite():
     with pytest.raises(ValueError):
         LinearFunctor(t.base, 0, t.dims, _plant_at_composite(t))
     tw2 = tw_com_fast(2)
-    for F in (f_operad(com(), 2, p=101, base=tw2), constant_functor(tw2, 0)):
+    twa2 = tw_category(ass(), 2)
+    planted = (
+        f_operad(com(), 2, p=101, base=tw2),
+        constant_functor(tw2, 0),
+        f_operad(ass(), 2, p=0, base=twa2),
+        dual_functor(gamma_t(2, p=101), op_category(gamma_category(2))),
+    )
+    for F in planted:
         with pytest.raises(ValueError):
-            LinearFunctor(tw2, F.p, F.dims, _plant_at_composite(F))
+            LinearFunctor(F.base, F.p, F.dims, _plant_at_composite(F))
 
 
 def test_gamma_t_structure_map():
@@ -178,15 +186,56 @@ def test_transport_to_tw_is_fully_functorial():
     tw2 = tw_com_fast(2)
     t2 = gamma_t(2, p=101)
     T = transport_to_tw(t2, tw2)
-    # rebuild with the full composition table check turned on
-    LinearFunctor(tw2, 101, T.dims, T.mats, check="full")
+    LinearFunctor(tw2, 101, T.dims, T.mats)
 
 
 def test_dual_functor_is_fully_functorial():
     t2 = gamma_t(2, p=101)
     op = op_category(t2.base)
     D = dual_functor(t2, op)
-    LinearFunctor(op, 101, D.dims, D.mats, check="full")
+    LinearFunctor(op, 101, D.dims, D.mats)
+
+
+def _small_bases():
+    return [gamma_category(2), delta_category(2), tw_com_fast(2),
+            tw_category(ass(), 2)]
+
+
+def _block_reference(base, xs, p):
+    """The blocks of k[Hom(x_1, -)] + ... built apart from
+    ``_representables``: each composite is found by its position in
+    the hom tuple."""
+    dims = {y: sum(len(base.hom(x, y)) for x in xs) for y in base.objects}
+    mats = {}
+    for g in base.all_morphisms():
+        entries = {}
+        ro = co = 0
+        for x in xs:
+            tgt = base.hom(x, g[1])
+            for j, f in enumerate(base.hom(x, g[0])):
+                entries[(ro + tgt.index(base.compose(g, f)), co + j)] = 1
+            ro += len(tgt)
+            co += len(base.hom(x, g[0]))
+        mats[g] = FinMatrix(dims[g[1]], dims[g[0]], entries, p)
+    return dims, mats
+
+
+@pytest.mark.parametrize("p", [0, 101])
+def test_trusted_yoneda_functors_pass_the_check(p):
+    # representables and their sums skip the constructor's check; the
+    # check must pass on them anyway, and the block assembly must match
+    # the one built part by part
+    for base in _small_bases() + [op_category(b) for b in _small_bases()]:
+        objs = base.objects
+        for i, x in enumerate(objs):
+            y = objs[(i + 1) % len(objs)]
+            for F, xs, name in ((representable(base, x, p), (x,), f"yon({x!r})"),
+                                (_representables(base, (x, y), p, "two"), (x, y), "two")):
+                LinearFunctor(base, p, F.dims, F.mats, name=F.name)
+                dims, mats = _block_reference(base, xs, p)
+                assert F.name == name
+                assert F.dims == dims
+                assert F.mats == mats
 
 
 def test_ext0_selfhom_at_least_one():
@@ -248,22 +297,22 @@ def test_solver_matches_ext0():
 
 
 def test_generating_morphisms_reach_everything():
-    base = gamma_category(2)
-    gens = generating_morphisms(base)
-    nonid = [m for m in base.all_morphisms() if m != base.identity(m[0])]
-    closed = set(gens)
-    grew = True
-    while grew:
-        grew = False
-        for f in list(closed):
-            for g in list(closed):
-                if f[1] == g[0]:
-                    h = base.compose(g, f)
-                    if h not in closed and h != base.identity(h[0]):
-                        closed.add(h)
-                        grew = True
-    assert closed == set(nonid)
-    assert len(gens) < len(nonid)
+    for base in _small_bases() + [op_category(gamma_category(2))]:
+        gens = generating_morphisms(base)
+        nonid = [m for m in base.all_morphisms() if m != base.identity(m[0])]
+        closed = set(gens)
+        grew = True
+        while grew:
+            grew = False
+            for f in list(closed):
+                for g in list(closed):
+                    if f[1] == g[0]:
+                        h = base.compose(g, f)
+                        if h not in closed and h != base.identity(h[0]):
+                            closed.add(h)
+                            grew = True
+        assert closed == set(nonid)
+        assert len(gens) < len(nonid)
 
 
 def test_generating_morphisms_are_cached_per_base():
@@ -362,7 +411,7 @@ def test_quillen_table_shape_and_vanishing_small():
     assert sorted(q["table"]) == [-1, 0, 1, 2]
     assert all(v == 0 for v in q["table"].values())
     assert q["truncation"] == 2
-    q2 = quillen_cohomology(com(), C2, 2, 3, backend="co-cover", base=base2, check="none")
+    q2 = quillen_cohomology(com(), C2, 2, 3, backend="co-cover", base=base2)
     assert q2["table"] == q["table"]
 
 
@@ -370,7 +419,7 @@ def test_quillen_shadow_relabeling():
     tw2 = tw_com_fast(2)
     t2 = gamma_t(2, p=101)
     T = transport_to_tw(t2, tw2)
-    q = quillen_cohomology(com(), T, 2, 3, backend="cover", base=tw2, check="none")
+    q = quillen_cohomology(com(), T, 2, 3, backend="cover", base=tw2)
     e = ext(t2, t2, 3)
     assert [q["table"][k - 1] for k in range(4)] == e
 
