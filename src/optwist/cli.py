@@ -391,7 +391,7 @@ def cmd_qcohom(args) -> int:
     F = parse_functor(args.coeff, base, hint, p, args.seed)
     P = com() if args.operad == "com" else ass()
     cfg = _config(args, p=p, truncation=N, backend=args.backend)
-    out = quillen_cohomology(P, F, N, b + 1, backend=args.backend, base=base)
+    out = quillen_cohomology(P, F, N, b + 1, backend=args.backend)
     rows = [(k, out["table"][k]) for k in range(a, b + 1)]
     lines = [f"H^{k}({args.operad}; {args.coeff}) = {d}" for k, d in rows]
     payload = {"operad": args.operad, "coeff": args.coeff,

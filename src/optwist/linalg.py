@@ -260,11 +260,6 @@ class FinMatrix:
             cols.append(vec)
         return FinMatrix.from_columns(cols, self.ncols, self.p)
 
-    def image_pivot_columns(self) -> list[int]:
-        """Indices of the columns that span the column space."""
-        _, pivots = self.rref()
-        return pivots
-
     def solve_matrix(self, rhs: "FinMatrix") -> "FinMatrix | None":
         """Some X with self @ X = rhs, or None when inconsistent."""
         if rhs.nrows != self.nrows or rhs.p != self.p:

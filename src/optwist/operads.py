@@ -382,7 +382,11 @@ def _min_arity(P: DiscreteOperad) -> int:
     return 0 if P.level(0) else 1
 
 
-def check_operad_axioms(P: DiscreteOperad, max_arity: int, max_failures: int = 20):
+# check_operad_axioms reports at most this many failures
+_MAX_FAILURES = 20
+
+
+def check_operad_axioms(P: DiscreteOperad, max_arity: int):
     """Exhaustively exercise unit, associativity, and equivariance laws.
 
     Every instance whose operations all have arity <= max_arity is
@@ -401,7 +405,7 @@ def check_operad_axioms(P: DiscreteOperad, max_arity: int, max_failures: int = 2
     fails: list[str] = []
 
     def report(msg):
-        if len(fails) < max_failures:
+        if len(fails) < _MAX_FAILURES:
             fails.append(msg)
 
     memo: dict = {}

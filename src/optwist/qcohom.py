@@ -10,6 +10,13 @@ oracle.  Hom of functors is also solved directly as a naturality
 linear system, which gives an Ext^0 oracle that shares no code with
 either resolution.
 
+By the Yoneda lemma a map out of k[Hom(x_1, -)] + ... is fixed by
+where its generators go, and every such map goes through one route:
+``Resolution.push`` moves a vector along an arrow, ``Resolution.realize``
+evaluates a differential at an object (d_0 being the augmentation onto
+the resolved functor), and ``_hom_block`` turns generator images into
+the matrix of precomposition on Hom(-, F).
+
 On top of the engine sit the functors of interest: the arity functor
 on a twisted arrow category, the module t on the opposite pointed-set
 category, the vertex functor on the simplex category with its short
@@ -28,6 +35,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,25 +50,13 @@ from .pointed import (
 from .twisted import FinCategory, tw_category
 
 
-def _add(a, b, p):
-    return (a + b) % p if p else a + b
-
-
-def _mul(a, b, p):
-    return (a * b) % p if p else a * b
-
-
-def _neg(a, p):
-    return (-a) % p if p else -a
-
-
 def _apply(mat: FinMatrix, vec, p):
-    """mat @ vec for a plain list vector."""
+    """mat @ vec for a plain list vector, reduced mod p once at the end."""
     out = [0] * mat.nrows
     for (i, j), v in mat.entries.items():
         if vec[j]:
-            out[i] = _add(out[i], _mul(v, vec[j], p), p)
-    return out
+            out[i] += v * vec[j]
+    return [v % p for v in out] if p else out
 
 
 # -- base categories -------------------------------------------------------
@@ -202,18 +198,17 @@ def f_operad(P: DiscreteOperad, N: int, p: int = 0, base=None) -> LinearFunctor:
 
 
 def eta_shriek(N: int, p: int = 0, base=None) -> LinearFunctor:
-    """[n] |-> k^{n+1}, basis vertex i pushed to vertex g(i).  This is
-    the representable at [0], hence projective."""
+    """[n] |-> k^{n+1}, basis vertex i pushed to vertex g(i): the
+    representable k[Hom([0], -)], hence projective, and built as one.
+
+    It is trusted the way every representable is (see
+    ``_representables``): Hom([0], [n]) lists the maps 0 |-> i in the
+    order i = 0..n, and g o (0 |-> i) = (0 |-> g(i)), so the matrix of
+    g is the closed form {(g(i), i): 1}; a test checks that closed form
+    and runs the constructor's check on the result."""
     if base is None:
         base = delta_category(N)
-    dims = {n: n + 1 for n in base.objects}
-    mats = {}
-    for m in base.all_morphisms():
-        g = m[2]
-        mats[m] = FinMatrix(
-            m[1] + 1, m[0] + 1, {(g(i), i): 1 for i in range(m[0] + 1)}, p
-        )
-    return LinearFunctor(base, p, dims, mats, name=f"eta!k(N={N})")
+    return _representables(base, (0,), p, f"eta!k(N={N})")
 
 
 def f_ass_delta(N: int, p: int = 0, base=None) -> LinearFunctor:
@@ -276,7 +271,9 @@ def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFu
 
     These are the only functors built without the check in
     ``LinearFunctor.__init__``, the way ``MonotoneMap.compose`` builds
-    its trusted composites.  The proof that stands in for the check:
+    its trusted composites; ``representable``, ``eta_shriek`` and the
+    sum under ``random_functor`` are built here.  The proof that stands in
+    for the check:
     the matrix of an arrow g sends the basis arrow h of a block to the
     basis arrow g o h of the same block, so F(g) F(f) sends h to
     g o (f o h) and F(g o f) sends it to (g o f) o h.  The two agree
@@ -320,20 +317,21 @@ def transport_to_tw(T: LinearFunctor, twbase: FinCategory) -> LinearFunctor:
     return LinearFunctor(twbase, T.p, dims, mats, name=T.name + "~tw")
 
 
-def random_functor(base: FinCategory, p: int, seed, gens: int = 2, cuts: int = 2) -> LinearFunctor:
-    """Seeded random functor: a quotient of a sum of representables by
-    the subfunctor generated by random vectors.  Every finitely
+def random_functor(base: FinCategory, p: int, seed) -> LinearFunctor:
+    """Seeded random functor: a quotient of a sum of two representables
+    by the subfunctor generated by two random vectors.  Every finitely
     generated functor has this shape, so nothing structural is baked in
     beyond the seed.  A cut that happens to generate everything would
     leave the zero functor, which checks nothing, so the seed is
     re-derived a few times until something survives."""
     objs = list(base.objects)
     for attempt in range(8):
-        rng = random.Random(f"functor:{seed}:{attempt}:{gens}:{cuts}:{p}")
-        xs = tuple(sorted(rng.choice(objs) for _ in range(gens)))
+        # the "2:2" (generators, cuts) is part of every seeded stream
+        rng = random.Random(f"functor:{seed}:{attempt}:2:2:{p}")
+        xs = tuple(sorted(rng.choice(objs) for _ in range(2)))
         P = _representables(base, xs, p, f"sum{xs!r}")
         raw = []
-        for _ in range(cuts):
+        for _ in range(2):
             y = rng.choice(objs)
             dim = P.dims[y]
             if dim == 0:
@@ -473,6 +471,13 @@ class Resolution:
     verifies exactness object by object while building; bar exactness
     is classical and spot-checked by evaluation in the tests, with
     d^2 = 0 caught either way when the Hom complex is assembled.
+
+    By Yoneda a map out of a sum of representables is fixed by where
+    its generators go, and every such map here goes through one pair
+    of methods: ``push(k, f, vec)`` moves a vector of T_k along an
+    arrow f, where T_k = R_k for k >= 0 and T_{-1} = M, and
+    ``realize(k, y)`` is the matrix of d_k at y, with d_0 the
+    augmentation R_0 -> M.
     """
 
     base: FinCategory
@@ -485,6 +490,7 @@ class Resolution:
     exactness: dict = field(default_factory=dict)
     _tb: dict = field(default_factory=dict, repr=False)
     _rd: dict = field(default_factory=dict, repr=False)
+    _push_idx: dict = field(default_factory=dict, repr=False)
 
     def term_basis(self, k: int, y) -> list:
         key = (k, y)
@@ -501,33 +507,49 @@ class Resolution:
         return self._tb[(k, y)][1]
 
     def term_dim(self, k: int, y) -> int:
-        return len(self.term_basis(k, y))
+        """dim T_k(y), with T_{-1} = M."""
+        return self.M.dims[y] if k == -1 else len(self.term_basis(k, y))
 
-    def realize_aug(self, y) -> FinMatrix:
-        """Matrix of the augmentation R_0(y) -> M(y)."""
-        cols = []
-        for i, f in self.term_basis(0, y):
-            cols.append(_apply(self.M.mats[f], self.aug[i], self.p))
-        return FinMatrix.from_columns(cols, self.M.dims[y], self.p)
+    def push(self, k: int, f, vec):
+        """T_k(f) vec.  On R_k this is the index scatter
+        (i, h) |-> (i, f o h), with the index array cached per (k, f);
+        on T_{-1} = M it is the matrix M(f)."""
+        if k == -1:
+            return _apply(self.M.mats[f], vec, self.p)
+        idx = self._push_idx.get((k, f))
+        if idx is None:
+            tgt = self.term_index(k, f[1])
+            idx = [tgt[(i, self.base.compose(f, h))] for i, h in self.term_basis(k, f[0])]
+            if self.p:
+                idx = np.asarray(idx, dtype=np.int64)
+            self._push_idx[(k, f)] = idx
+        dim = self.term_dim(k, f[1])
+        if self.p:
+            out = np.zeros(dim, dtype=np.int64)
+            np.add.at(out, idx, np.asarray(vec, dtype=np.int64))
+            return out % self.p
+        out = [0] * dim
+        for pos, c in enumerate(vec):
+            if c:
+                out[idx[pos]] += c
+        return out
 
-    def realize_diff(self, k: int, y) -> FinMatrix:
-        """Matrix of d_k at y: R_k(y) -> R_{k-1}(y), by naturality
-        (j, f) |-> sum of c * (i, f o h) over the stored expansion."""
+    def realize(self, k: int, y) -> FinMatrix:
+        """Matrix of d_k at y: T_k(y) -> T_{k-1}(y), d_0 being the
+        augmentation.  Column (j, f) is push(k - 1, f, image of
+        generator j), which is naturality read off the generators."""
         key = (k, y)
-        if key in self._rd:
-            return self._rd[key]
-        idx = self.term_index(k - 1, y)
-        entries = {}
-        for col, (j, f) in enumerate(self.term_basis(k, y)):
-            for (i, h), c in self.diffs[k][j].items():
-                row = idx[(i, self.base.compose(f, h))]
-                tot = _add(entries.get((row, col), 0), c, self.p)
-                if tot:
-                    entries[(row, col)] = tot
-                elif (row, col) in entries:
-                    del entries[(row, col)]
-        mat = FinMatrix(self.term_dim(k - 1, y), self.term_dim(k, y), entries, self.p)
-        self._rd[key] = mat
+        mat = self._rd.get(key)
+        if mat is None:
+            images = {}
+            cols = []
+            for j, f in self.term_basis(k, y):
+                if j not in images:
+                    images[j] = self.aug[j] if k == 0 else _dense(
+                        self.term_index(k - 1, f[0]), self.diffs[k][j])
+                cols.append(self.push(k - 1, f, images[j]))
+            mat = FinMatrix.from_columns(cols, self.term_dim(k - 1, y), self.p)
+            self._rd[key] = mat
         return mat
 
     def verify_exact(self, upto: int) -> dict:
@@ -536,13 +558,9 @@ class Resolution:
         augmentation is onto."""
         report = {}
         for y in self.base.objects:
-            aug = self.realize_aug(y)
-            report[(-1, y)] = aug.rank() == self.M.dims[y]
-            for k in range(upto + 1):
-                out_mat = aug if k == 0 else self.realize_diff(k, y)
-                if k + 1 >= len(self.terms):
-                    break
-                inc = self.realize_diff(k + 1, y)
+            report[(-1, y)] = self.realize(0, y).rank() == self.M.dims[y]
+            for k in range(min(upto + 1, len(self.terms) - 1)):
+                out_mat, inc = self.realize(k, y), self.realize(k + 1, y)
                 report[(k, y)] = (
                     (out_mat @ inc).is_zero()
                     and inc.rank() == out_mat.nullity()
@@ -550,31 +568,40 @@ class Resolution:
         return report
 
     def hom_cochain(self, F: LinearFunctor) -> CochainComplex:
-        """Hom(R_., F) in Yoneda coordinates: one F(x_j)-block per
-        generator; the (j, i)-block of the k-th map is the sum of
-        c * F(h) over the expansion of generator j."""
+        """Hom(R_., F) in Yoneda coordinates (see ``_hom_block``)."""
         dims = [sum(F.dims[x] for x in term) for term in self.terms]
-        offsets = []
-        for term in self.terms:
-            off, acc = [], 0
-            for x in term:
-                off.append(acc)
-                acc += F.dims[x]
-            offsets.append(off)
-        mats = []
-        for k in range(1, len(self.terms)):
-            entries = {}
-            for j, expansion in enumerate(self.diffs[k]):
-                for (i, h), c in expansion.items():
-                    for (r, s), v in F.mats[h].entries.items():
-                        key = (offsets[k][j] + r, offsets[k - 1][i] + s)
-                        tot = _add(entries.get(key, 0), _mul(c, v, self.p), self.p)
-                        if tot:
-                            entries[key] = tot
-                        elif key in entries:
-                            del entries[key]
-            mats.append(FinMatrix(dims[k], dims[k - 1], entries, self.p))
+        mats = [_hom_block(F, self.terms[k], self.terms[k - 1], self.diffs[k])
+                for k in range(1, len(self.terms))]
         return CochainComplex(dims, mats, self.p)
+
+
+def _dense(index: dict, expansion: dict) -> list:
+    """An expansion {basis element: c} as a vector in the basis index."""
+    vec = [0] * len(index)
+    for b, c in expansion.items():
+        vec[index[b]] = c
+    return vec
+
+
+def _expansion(basis: list, vec) -> dict:
+    """The nonzero coordinates of vec keyed by basis element."""
+    return {basis[pos]: c for pos, c in enumerate(vec) if c}
+
+
+def _hom_block(F: LinearFunctor, rows: tuple, cols: tuple, images: list) -> FinMatrix:
+    """Precomposition Hom(R', F) -> Hom(R, F) with the map R -> R'
+    sending generator j of R (at rows[j]) to images[j] = {(i, h): c}
+    over generators i of R' (at cols[i]).  By Yoneda Hom(R, F) is one
+    F(x_j)-block per generator, and block (j, i) is the sum of c F(h)."""
+    roff = list(accumulate((F.dims[x] for x in rows), initial=0))
+    coff = list(accumulate((F.dims[x] for x in cols), initial=0))
+    entries = {}
+    for j, image in enumerate(images):
+        for (i, h), c in image.items():
+            for (r, s), v in F.mats[h].entries.items():
+                key = (roff[j] + r, coff[i] + s)
+                entries[key] = entries.get(key, 0) + c * v
+    return FinMatrix(roff[-1], coff[-1], entries, F.p)
 
 
 def cover_resolution(M: LinearFunctor, length: int) -> Resolution:
@@ -586,18 +613,10 @@ def cover_resolution(M: LinearFunctor, length: int) -> Resolution:
     terms stay small.  Exactness at every interior slot is verified by
     rank bookkeeping as part of the build, not trusted.
     """
-    base, p = M.base, M.p
-    res = Resolution(base, p, M, [], [], [], backend="cover")
+    base = M.base
+    res = Resolution(base, M.p, M, [], [], [], backend="cover")
 
-    def push0(f, vec):
-        return _apply(M.mats[f], list(vec), p)
-
-    gens0 = _greedy_cover(
-        base, p,
-        dims_fn=lambda y: M.dims[y],
-        targets_fn=lambda y: _unit_vectors(M.dims[y]),
-        push=push0,
-    )
+    gens0 = _greedy_cover(res, -1, lambda y: _unit_vectors(M.dims[y]))
     res.terms.append(tuple(x for x, _ in gens0))
     res.diffs.append(None)
     res.aug = [list(v) for _, v in gens0]
@@ -605,7 +624,7 @@ def cover_resolution(M: LinearFunctor, length: int) -> Resolution:
     for k in range(1, length + 1):
         kernels = {}
         for y in base.objects:
-            mat = res.realize_aug(y) if k == 1 else res.realize_diff(k - 1, y)
+            mat = res.realize(k - 1, y)
             kb = mat.kernel_basis()
             kernels[y] = kb
             res.exactness[(k - 1, y)] = {
@@ -614,30 +633,18 @@ def cover_resolution(M: LinearFunctor, length: int) -> Resolution:
                 "kernel": kb.ncols,
             }
 
-        push = _term_push(res, k - 1)
         gens = _greedy_cover(
-            base, p,
-            dims_fn=lambda y: res.term_dim(k - 1, y),
-            targets_fn=lambda y: [kernels[y].column(j) for j in range(kernels[y].ncols)],
-            push=push,
+            res, k - 1,
+            lambda y: [kernels[y].column(j) for j in range(kernels[y].ncols)],
         )
         res.terms.append(tuple(x for x, _ in gens))
-        expansions = []
-        for x, vec in gens:
-            basis = res.term_basis(k - 1, x)
-            exp = {}
-            for pos, c in enumerate(vec):
-                if c:
-                    exp[basis[pos]] = c
-            expansions.append(exp)
-        res.diffs.append(expansions)
+        res.diffs.append([_expansion(res.term_basis(k - 1, x), vec) for x, vec in gens])
 
         # certify the greedy step: d^2 = 0 and the image really is the
         # kernel, object by object
         for y in base.objects:
-            up = res.realize_aug(y) if k == 1 else res.realize_diff(k - 1, y)
-            dk = res.realize_diff(k, y)
-            if not (up @ dk).is_zero():
+            dk = res.realize(k, y)
+            if not (res.realize(k - 1, y) @ dk).is_zero():
                 raise ResolutionError(f"d^2 != 0 at stage {k}, object {y!r}")
             rk = dk.rank()
             if rk != kernels[y].ncols:
@@ -655,49 +662,22 @@ def _unit_vectors(dim: int) -> list:
     return out
 
 
-def _term_push(res: Resolution, k: int):
-    """Pushforward along f of vectors in R_k(f source), as an index
-    scatter; the index arrays are cached per arrow."""
-    base, p = res.base, res.p
-    cache = {}
-
-    def push(f, vec):
-        idx_arr = cache.get(f)
-        if idx_arr is None:
-            src_basis = res.term_basis(k, f[0])
-            idx = res.term_index(k, f[1])
-            positions = [idx[(i, base.compose(f, h))] for i, h in src_basis]
-            idx_arr = np.asarray(positions, dtype=np.int64) if p else positions
-            cache[f] = idx_arr
-        dim = res.term_dim(k, f[1])
-        if p:
-            out = np.zeros(dim, dtype=np.int64)
-            np.add.at(out, idx_arr, np.asarray(vec, dtype=np.int64))
-            return out % p
-        out = [0] * dim
-        for pos, c in enumerate(vec):
-            if c:
-                out[idx_arr[pos]] += c
-        return out
-
-    return push
-
-
-def _greedy_cover(base, p, dims_fn, targets_fn, push) -> list:
-    """Choose generators (x, vec) so that the pushforwards of all
-    chosen generators span, at every object, the span of that object's
-    target vectors.  One pass in canonical object order suffices: later
-    generators only enlarge earlier spans."""
-    spans = {y: _Echelon(dims_fn(y), p) for y in base.objects}
+def _greedy_cover(res: Resolution, k: int, targets_fn) -> list:
+    """Choose generators (x, vec) in T_k(x) so that the pushforwards
+    (``res.push``) of all chosen generators span, at every object, the
+    span of that object's target vectors.  One pass in canonical object
+    order suffices: later generators only enlarge earlier spans."""
+    base = res.base
+    spans = {y: _Echelon(res.term_dim(k, y), res.p) for y in base.objects}
     gens = []
     for x in base.objects:
         for t in targets_fn(x):
             if spans[x].contains(t):
                 continue
-            gens.append((x, [v for v in t]))
+            gens.append((x, list(t)))
             for y in base.objects:
                 for f in base.hom(x, y):
-                    spans[y].insert(push(f, t))
+                    spans[y].insert(res.push(k, f, t))
     return gens
 
 
@@ -750,7 +730,6 @@ def bar_resolution(M: LinearFunctor, length: int, normalized: bool = True,
         res.aug.append(v)
     prev_lookup = {((), x, b): i for i, (x, b) in enumerate(gens0)}
 
-    one = 1
     for k in range(1, length + 1):
         gens = [(ch, ch[0][0], b) for ch in chains[k] for b in range(M.dims[ch[0][0]])]
         res.terms.append(tuple(ch[-1][1] for ch, _, _ in gens))
@@ -761,11 +740,7 @@ def bar_resolution(M: LinearFunctor, length: int, normalized: bool = True,
 
             def add_term(key, f, coef):
                 bk = (prev_lookup[key], f)
-                tot = _add(exp.get(bk, 0), coef, p)
-                if tot:
-                    exp[bk] = tot
-                elif bk in exp:
-                    del exp[bk]
+                exp[bk] = exp.get(bk, 0) + coef
 
             # face 0: apply M along the first arrow
             first = ch[0]
@@ -778,10 +753,11 @@ def bar_resolution(M: LinearFunctor, length: int, normalized: bool = True,
                 if normalized and comp == base.identity(comp[0]):
                     continue
                 new_ch = ch[: i - 1] + (comp,) + ch[i + 1:]
-                add_term((new_ch, x, b), tgt_id, _neg(one, p) if i % 2 else one)
+                add_term((new_ch, x, b), tgt_id, -1 if i % 2 else 1)
             # last face: peel the final arrow into the Yoneda slot
-            add_term((ch[:-1], x, b), ch[-1], _neg(one, p) if k % 2 else one)
-            expansions.append(exp)
+            add_term((ch[:-1], x, b), ch[-1], -1 if k % 2 else 1)
+            reduced = ((bk, c % p if p else c) for bk, c in exp.items())
+            expansions.append({bk: c for bk, c in reduced if c})
         res.diffs.append(expansions)
         prev_lookup = {g: i for i, g in enumerate(gens)}
     return res
@@ -931,18 +907,14 @@ def hom_solver(M: LinearFunctor, F: LinearFunctor) -> int:
         mg, fg = M.mats[g], F.mats[g]
         for r in range(F.dims[z]):
             for c in range(M.dims[y]):
-                row = {}
                 for (kk, cc), v in mg.entries.items():
                     if cc == c:
-                        key = var(z, r, kk)
-                        row[key] = _add(row.get(key, 0), v, p)
+                        key = (nrows, var(z, r, kk))
+                        entries[key] = entries.get(key, 0) + v
                 for (rr, ll), v in fg.entries.items():
                     if rr == r:
-                        key = var(y, ll, c)
-                        row[key] = _add(row.get(key, 0), _neg(v, p), p)
-                for j, v in row.items():
-                    if v:
-                        entries[(nrows, j)] = v
+                        key = (nrows, var(y, ll, c))
+                        entries[key] = entries.get(key, 0) - v
                 nrows += 1
     mat = FinMatrix(max(nrows, 1), nvars, entries, p)
     return mat.nullity()
@@ -952,13 +924,14 @@ def hom_solver(M: LinearFunctor, F: LinearFunctor) -> int:
 
 
 def quillen_cohomology(P: DiscreteOperad, F: LinearFunctor, N: int, K: int,
-                       backend: str = "cover", base=None,
-                       resolution: Resolution | None = None) -> dict:
+                       backend: str = "cover") -> dict:
     """Operadic Quillen cohomology table: H^n(P; F) is read off as
     dim Ext^{n+1}(arity functor, F) for n = -1..K-1, zero below -1 by
-    convention, stamped with the truncation it was computed at."""
-    M = f_operad(P, N, p=F.p, base=base if base is not None else F.base)
-    dims = ext(M, F, K, backend=backend, resolution=resolution)
+    convention, stamped with the truncation it was computed at.  The
+    arity functor lives on F's base, the twisted arrow category of P
+    truncated at N."""
+    M = f_operad(P, N, p=F.p, base=F.base)
+    dims = ext(M, F, K, backend=backend)
     return {
         "operad": type(P).__name__,
         "truncation": N,
@@ -1011,7 +984,7 @@ def ses_maps_ass(N: int, p: int = 0, base=None):
         entries = {}
         for i in range(1, n + 1):
             entries[(i - 1, i - 1)] = 1
-            entries[(i, i - 1)] = _neg(1, p)
+            entries[(i, i - 1)] = -1
         rho[n] = FinMatrix(n + 1, n, entries, p)
         pi[n] = FinMatrix(1, n + 1, {(0, j): 1 for j in range(n + 1)}, p)
     for m in base.all_morphisms():
@@ -1023,12 +996,13 @@ def ses_maps_ass(N: int, p: int = 0, base=None):
 
 
 def _horseshoe(resA: Resolution, resC: Resolution, rho, pi, B: LinearFunctor) -> list:
-    """Correction maps lam[k]: R^C_k -> R^A_{k-1} (lam[0]: R^C_0 -> B)
-    making R^A (+) R^C a resolution of the middle term: lam[0] lifts
-    the C-augmentation through pi, and d^A lam[k] = -lam[k-1] d^C is
-    solved generator by generator.  Solvability is exactness of the A
-    side, so a failed solve is an error."""
-    base, p = resA.base, resA.p
+    """Correction maps lam[k]: R^C_k -> T_{k-1} (T_0 = B, T_k = R^A_{k-1}
+    above) making R^A (+) R^C a resolution of the middle term: lam[0]
+    lifts the C-augmentation through pi, and d^A lam[k] = -lam[k-1] d^C
+    is solved generator by generator, with d^A into B read as rho after
+    the A-augmentation.  Solvability is exactness of the A side, so a
+    failed solve is an error."""
+    p = resA.p
     top = len(resA.terms) - 1
 
     lam0 = []
@@ -1043,67 +1017,19 @@ def _horseshoe(resA: Resolution, resC: Resolution, rho, pi, B: LinearFunctor) ->
     for k in range(1, top + 1):
         cur = []
         for j, x in enumerate(resC.terms[k]):
-            if k == 1:
-                rhs_vec = [0] * B.dims[x]
-                for (i, h), c in resC.diffs[1][j].items():
-                    moved = _apply(B.mats[h], lam[0][i], p)
-                    for t, v in enumerate(moved):
-                        rhs_vec[t] = _add(rhs_vec[t], _neg(_mul(c, v, p), p), p)
-                target = rho[x] @ resA.realize_aug(x)
-                sol = target.solve_matrix(
-                    FinMatrix.from_columns([rhs_vec], B.dims[x], p)
-                )
-            else:
-                dim_prev = resA.term_dim(k - 2, x)
-                rhs_vec = [0] * dim_prev
-                idx = resA.term_index(k - 2, x)
-                for (i, h), c in resC.diffs[k][j].items():
-                    src_basis = resA.term_basis(k - 2, h[0])
-                    for pos, v in enumerate(lam[k - 1][i]):
-                        if v:
-                            ii, ff = src_basis[pos]
-                            q = idx[(ii, base.compose(h, ff))]
-                            rhs_vec[q] = _add(rhs_vec[q], _neg(_mul(c, v, p), p), p)
-                target = resA.realize_diff(k - 1, x)
-                sol = target.solve_matrix(
-                    FinMatrix.from_columns([rhs_vec], dim_prev, p)
-                )
+            target = rho[x] @ resA.realize(0, x) if k == 1 else resA.realize(k - 1, x)
+            rhs = [0] * target.nrows
+            for (i, h), c in resC.diffs[k][j].items():
+                vec = lam[k - 1][i]
+                moved = _apply(B.mats[h], vec, p) if k == 1 else resA.push(k - 2, h, vec)
+                for t, v in enumerate(moved):
+                    rhs[t] -= c * v
+            sol = target.solve_matrix(FinMatrix.from_columns([rhs], target.nrows, p))
             if sol is None:
                 raise ResolutionError(f"horseshoe lift failed at stage {k}")
             cur.append(sol.column(0))
         lam.append(cur)
     return lam
-
-
-def _lambda_cochain(resA: Resolution, resC: Resolution, lam, F: LinearFunctor, k: int) -> FinMatrix:
-    """Precomposition with lam[k] as a matrix Hom(R^A_{k-1}, F) ->
-    Hom(R^C_k, F) in Yoneda block coordinates."""
-    p = F.p
-    offC, acc = [], 0
-    for x in resC.terms[k]:
-        offC.append(acc)
-        acc += F.dims[x]
-    rowsF = acc
-    offA, acc = [], 0
-    for x in resA.terms[k - 1]:
-        offA.append(acc)
-        acc += F.dims[x]
-    colsF = acc
-    entries = {}
-    for j, x in enumerate(resC.terms[k]):
-        src_basis = resA.term_basis(k - 1, x)
-        for pos, v in enumerate(lam[k][j]):
-            if not v:
-                continue
-            i, f = src_basis[pos]
-            for (r, s), w in F.mats[f].entries.items():
-                key = (offC[j] + r, offA[i] + s)
-                tot = _add(entries.get(key, 0), _mul(v, w, p), p)
-                if tot:
-                    entries[key] = tot
-                elif key in entries:
-                    del entries[key]
-    return FinMatrix(rowsF, colsF, entries, p)
 
 
 def _cocycles(X: CochainComplex, k: int) -> FinMatrix:
@@ -1138,25 +1064,32 @@ def _composite_vanishes(Z: FinMatrix, U1: FinMatrix, U2: FinMatrix,
 _les_infra: dict = {}
 
 
-def _les_infrastructure(N: int, p: int, backend: str, L: int, base):
+def _les_infrastructure(N: int, p: int, L: int, base):
     """Everything in the long-exact-sequence check that does not depend
     on the coefficient functor, cached so a batch of coefficients pays
-    for the resolutions once."""
-    key = (N, p, backend, L)
+    for the resolutions once.  The correction maps are kept as Yoneda
+    expansions, ready for ``_hom_block``."""
+    key = (N, p, L)
     if key not in _les_infra:
         A, B, C, rho, pi = ses_maps_ass(N, p, base)
-        resA = build_resolution(A, L, backend)
-        resC = build_resolution(C, L, backend)
-        resB = build_resolution(B, L, backend)
+        resA = cover_resolution(A, L)
+        resC = cover_resolution(C, L)
+        resB = cover_resolution(B, L)
         lam = _horseshoe(resA, resC, rho, pi, B)
-        _les_infra[key] = (A, B, C, rho, pi, resA, resC, resB, lam)
+        lam_exp = [None] + [
+            [_expansion(resA.term_basis(k - 1, x), lam[k][j])
+             for j, x in enumerate(resC.terms[k])]
+            for k in range(1, L + 1)
+        ]
+        _les_infra[key] = (A, B, C, rho, pi, resA, resC, resB, lam_exp)
     return _les_infra[key]
 
 
-def les_check_ass(N: int, F: LinearFunctor, K: int, backend: str = "cover") -> dict:
+def les_check_ass(N: int, F: LinearFunctor, K: int) -> dict:
     """Long-exact-sequence verification for the vertex-functor short
     exact sequence over the simplex category truncated at N, against a
-    coefficient functor F, through cohomological degree K.
+    coefficient functor F, through cohomological degree K.  F must live
+    on the simplex category truncated at N.
 
     The report carries (a) pointwise short exactness with ranks, (b)
     the projectivity facts for the middle term (higher Ext vanishes,
@@ -1165,11 +1098,12 @@ def les_check_ass(N: int, F: LinearFunctor, K: int, backend: str = "cover") -> d
     witnessed by induced ranks on cohomology.
     """
     base = F.base
+    if base.objects != tuple(range(N + 1)):
+        raise ValueError(f"coefficient functor's base has objects {base.objects!r}, "
+                         f"not the truncation at {N}")
     p = F.p
     L = K + 2
-    A, B, C, rho, pi, resA, resC, resB, lam = _les_infrastructure(
-        N, p, backend, L, base
-    )
+    A, B, C, rho, pi, resA, resC, resB, lam = _les_infrastructure(N, p, L, base)
 
     report = {"truncation": N, "field": p, "degree": K}
 
@@ -1191,7 +1125,8 @@ def les_check_ass(N: int, F: LinearFunctor, K: int, backend: str = "cover") -> d
 
     XA = resA.hom_cochain(F)
     XC = resC.hom_cochain(F)
-    lam_mats = [None] + [_lambda_cochain(resA, resC, lam, F, k) for k in range(1, L + 1)]
+    lam_mats = [None] + [_hom_block(F, resC.terms[k], resA.terms[k - 1], lam[k])
+                         for k in range(1, L + 1)]
 
     dimsB = [XA.dims[k] + XC.dims[k] for k in range(L + 1)]
     diffsB = []

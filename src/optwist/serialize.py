@@ -262,8 +262,8 @@ def load_functor(doc: dict) -> LinearFunctor:
             matrix_from_json(e["matrix"])
         for e in payload["mats"]
     }
-    # the constructor re-runs the full functoriality check, so a dump
-    # that decodes but is not a functor cannot load
+    # the constructor runs the generator check, which implies full
+    # functoriality, so a dump that decodes but is not a functor cannot load
     return LinearFunctor(base, payload["p"], dims, mats,
                          name=payload.get("name", ""))
 

@@ -540,12 +540,7 @@ def _quasi_witnesses(cube: NerveMap, n: int):
 
 
 def quasi_simplices(X: FinSimplicialSet, n: int) -> list:
-    out = []
-    for cube in enumerate_cube_maps(X, n):
-        w = _quasi_witnesses(cube, n)
-        if w is not None:
-            out.append(QuasiSimplex(n, cube, w))
-    return out
+    return quasi_bucket(X, n, enumerate_cube_maps(X, n))
 
 
 def quasi_bucket(X: FinSimplicialSet, n: int, bucket: list) -> list:

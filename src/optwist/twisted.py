@@ -276,14 +276,20 @@ def _compose_shape(fa_vals: tuple, fb_vals: tuple) -> tuple:
     return tuple(table[v] for v in fb_vals)
 
 
-def certify_tw_com(N: int, full_compose_upto: int = 3, sample: int = 20000,
-                   seed: int = 0) -> dict:
+# certify_tw_com composes generically wherever every arity is at most
+# this, and samples about _SAMPLE pairs above it with a fixed seed
+_FULL_COMPOSE_UPTO = 3
+_SAMPLE = 20000
+_SAMPLE_SEED = 0
+
+
+def certify_tw_com(N: int) -> dict:
     """Certify the arity-capped twisted arrow category over the
     commutative operad against pointed-sets-opposite.
 
     Hom sets are checked to be singletons per shape and exhaustively in
     bijection with pointed maps.  Composition agreement runs the full
-    generic composition wherever every arity is <= full_compose_upto,
+    generic composition wherever every arity is <= _FULL_COMPOSE_UPTO,
     plus a seeded sample above that; the remaining pairs are covered by
     shape composition, which determines the morphism because the hom
     bijection has already been established.
@@ -308,10 +314,10 @@ def certify_tw_com(N: int, full_compose_upto: int = 3, sample: int = 20000,
         for n in range(N + 1)
         for m in range(N + 1)
         for l in range(N + 1)
-        if max(n, m, l) > full_compose_upto
+        if max(n, m, l) > _FULL_COMPOSE_UPTO
     )
-    p_generic = min(1.0, sample / big_total) if big_total else 0.0
-    rng = random.Random(seed)
+    p_generic = min(1.0, _SAMPLE / big_total) if big_total else 0.0
+    rng = random.Random(_SAMPLE_SEED)
     pairs = 0
     generic = 0
     for n in range(N + 1):
@@ -320,7 +326,7 @@ def certify_tw_com(N: int, full_compose_upto: int = 3, sample: int = 20000,
                 homs_nm = by_pair[(n, m)]
                 homs_ml = by_pair[(m, l)]
                 homs_nl = by_pair[(n, l)]
-                small = max(n, m, l) <= full_compose_upto
+                small = max(n, m, l) <= _FULL_COMPOSE_UPTO
                 pairs += len(homs_nm) * len(homs_ml)
                 for fa, alpha in homs_nm.items():
                     # fa . fb read off one table per fa (see _compose_shape)

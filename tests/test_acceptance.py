@@ -148,7 +148,7 @@ def test_criterion_05_com_constant_vanishing():
     started = time.monotonic()
     base = tw_com_fast(4)
     F = constant_functor(base, 0, 1)
-    out = quillen_cohomology(com(), F, 4, 5, backend="co-cover", base=base)
+    out = quillen_cohomology(com(), F, 4, 5, backend="co-cover")
     assert all(out["table"][n] == 0 for n in range(5)), out["table"]
     # independent route: the direct cover resolution, affordable to
     # degree 2 (its term count grows geometrically past that)

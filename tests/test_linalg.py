@@ -113,11 +113,6 @@ def test_dense_path_on_large_modp():
     assert x is not None and m @ x == b
 
 
-def test_image_pivot_columns():
-    m = FinMatrix.from_rows([[1, 2, 0], [2, 4, 1]])
-    assert m.image_pivot_columns() == [0, 2]
-
-
 def test_cochain_complex_exact_example():
     d0 = FinMatrix.from_rows([[1], [1]])
     d1 = FinMatrix.from_rows([[1, -1]])

@@ -9,6 +9,7 @@ from optwist.operads import ass, com
 from optwist.pointed import PointedMap
 from optwist.qcohom import (
     LinearFunctor,
+    Resolution,
     ResolutionError,
     _generating_morphisms,
     _pointed_pullback,
@@ -152,12 +153,19 @@ def test_f_operad_com_dims():
 
 
 def test_eta_shriek_is_the_representable_at_zero():
-    base = delta_category(3)
-    B = eta_shriek(3, 0, base)
-    R = representable(base, 0, p=0)
-    assert B.dims == R.dims
-    for m in base.all_morphisms():
-        assert B.mats[m] == R.mats[m]
+    # eta_shriek is built as the representable at [0] and skips the
+    # constructor's check: it must match the closed form and pass it
+    for N in (2, 3, 4):
+        base = delta_category(N)
+        for p in (0, 101):
+            B = eta_shriek(N, p, base)
+            assert B.name == f"eta!k(N={N})"
+            assert B.dims == {n: n + 1 for n in base.objects}
+            for m in base.all_morphisms():
+                g = m[2]
+                closed = {(g(i), i): 1 for i in range(m[0] + 1)}
+                assert B.mats[m] == FinMatrix(m[1] + 1, m[0] + 1, closed, p)
+            LinearFunctor(base, p, B.dims, B.mats)
 
 
 def test_ses_maps_are_natural_and_exact_pointwise():
@@ -343,6 +351,73 @@ def test_bar_resolution_is_exact_in_low_degrees():
     assert all(report.values())
 
 
+@pytest.mark.parametrize("p", [0, 101])
+def test_realize_matches_independent_assembly(p):
+    # d_k at y, column (j, f), is the representable sum R_{k-1} applied
+    # along f to the image of generator j (M itself for k = 0); the
+    # image's coordinates are placed by the hom tuples, not term_index.
+    # The bar over tw:ass:2 stops at B_1: B_2 has 2422 generators.
+    tw_ass = tw_category(ass(), 2)
+    cases = ((gamma_t(2, p), 2), (f_ass_delta(2, p), 2),
+             (f_operad(ass(), 2, p, base=tw_ass), 1))
+    for M, bar_length in cases:
+        base = M.base
+        for res in (cover_resolution(M, 3), bar_resolution(M, bar_length)):
+            for k in range(len(res.terms)):
+                if k:
+                    prev = res.terms[k - 1]
+                    T = _representables(base, prev, p, "prev")
+                for y in base.objects:
+                    cols = []
+                    for j, x in enumerate(res.terms[k]):
+                        if k == 0:
+                            image = res.aug[j]
+                        else:
+                            image = [0] * T.dims[x]
+                            offsets = [0]
+                            for xi in prev:
+                                offsets.append(offsets[-1] + len(base.hom(xi, x)))
+                            for (i, h), c in res.diffs[k][j].items():
+                                image[offsets[i] + base.hom(prev[i], x).index(h)] = c
+                        for f in base.hom(x, y):
+                            mat = M.mats[f] if k == 0 else T.mats[f]
+                            vec = FinMatrix.from_columns([image], mat.ncols, p)
+                            cols.append((mat @ vec).column(0))
+                    rows = M.dims[y] if k == 0 else T.dims[y]
+                    want = FinMatrix.from_columns(cols, rows, p)
+                    assert res.realize(k, y) == want, (M.name, res.backend, k, y)
+
+
+def _plant(res, k, scale):
+    """A fresh copy of res with the first coefficient of the first
+    nonempty expansion at stage k multiplied by scale."""
+    diffs = [list(d) if d is not None else None for d in res.diffs]
+    j = next(j for j, e in enumerate(diffs[k]) if e)
+    exp = dict(diffs[k][j])
+    key = next(iter(exp))
+    exp[key] = exp[key] * scale
+    diffs[k][j] = exp
+    return Resolution(res.base, res.p, res.M, list(res.terms), diffs,
+                      list(res.aug), res.backend)
+
+
+def test_planted_bar_coefficient_breaks_the_cochain_complex():
+    M = f_ass_delta(2, 101)
+    F = random_functor(M.base, 101, seed=2)
+    res = bar_resolution(M, 3)
+    res.hom_cochain(F)
+    with pytest.raises(ValueError, match="d\\^2"):
+        _plant(res, 2, 2).hom_cochain(F)
+
+
+def test_planted_cover_coefficient_fails_verify_exact():
+    t2 = gamma_t(2, p=101)
+    res = cover_resolution(t2, 3)
+    assert all(res.verify_exact(2).values())
+    report = _plant(res, 2, 2).verify_exact(2)
+    assert not all(report.values())
+
+
 def test_bar_generator_guard():
     t2 = gamma_t(2, p=101)
     with pytest.raises(ResolutionError):
@@ -369,6 +444,17 @@ def test_les_cross_prime():
     base = delta_category(2)
     rep = les_check_ass(2, constant_functor(base, 997), 2)
     assert rep["all_exact"]
+
+
+def test_les_rejects_a_base_of_another_truncation():
+    small = random_functor(delta_category(2), 101, seed=1)
+    with pytest.raises(ValueError):
+        les_check_ass(3, small, 2)
+    # nothing was cached for the mismatched call
+    base = delta_category(3)
+    rep = les_check_ass(3, random_functor(base, 101, seed=1), 2)
+    assert rep["all_exact"]
+    assert rep["truncation"] == 3
 
 
 def test_les_slot_fields_present():
@@ -407,11 +493,11 @@ def test_random_functor_is_deterministic():
 def test_quillen_table_shape_and_vanishing_small():
     base2 = tw_com_fast(2)
     C2 = constant_functor(base2, 101)
-    q = quillen_cohomology(com(), C2, 2, 3, backend="cover", base=base2)
+    q = quillen_cohomology(com(), C2, 2, 3, backend="cover")
     assert sorted(q["table"]) == [-1, 0, 1, 2]
     assert all(v == 0 for v in q["table"].values())
     assert q["truncation"] == 2
-    q2 = quillen_cohomology(com(), C2, 2, 3, backend="co-cover", base=base2)
+    q2 = quillen_cohomology(com(), C2, 2, 3, backend="co-cover")
     assert q2["table"] == q["table"]
 
 
@@ -419,7 +505,7 @@ def test_quillen_shadow_relabeling():
     tw2 = tw_com_fast(2)
     t2 = gamma_t(2, p=101)
     T = transport_to_tw(t2, tw2)
-    q = quillen_cohomology(com(), T, 2, 3, backend="cover", base=tw2)
+    q = quillen_cohomology(com(), T, 2, 3, backend="cover")
     e = ext(t2, t2, 3)
     assert [q["table"][k - 1] for k in range(4)] == e
 
