@@ -318,12 +318,17 @@ def transport_to_tw(T: LinearFunctor, twbase: FinCategory) -> LinearFunctor:
 
 
 def random_functor(base: FinCategory, p: int, seed) -> LinearFunctor:
-    """Seeded random functor: a quotient of a sum of two representables
+    """Seeded random functor: the quotient of a sum of two representables
     by the subfunctor generated by two random vectors.  Every finitely
     generated functor has this shape, so nothing structural is baked in
     beyond the seed.  A cut that happens to generate everything would
     leave the zero functor, which checks nothing, so the seed is
-    re-derived a few times until something survives."""
+    re-derived a few times until something survives.
+
+    The sum of representables is trusted (see ``_representables``); the
+    subfunctor is closed under the generators only (see
+    ``_action_closure``); the quotient goes through the constructor, so
+    the returned functor is checked in full like any other."""
     objs = list(base.objects)
     for attempt in range(8):
         # the "2:2" (generators, cuts) is part of every seeded stream
@@ -349,43 +354,70 @@ def random_functor(base: FinCategory, p: int, seed) -> LinearFunctor:
 
 
 def _action_closure(P: LinearFunctor, raw: list) -> dict:
-    """Smallest subfunctor of P containing the given vectors, as a
-    reduced row basis per object."""
+    """Smallest subfunctor of P containing the given vectors, as an
+    echelon span per object.
+
+    Each new direction is pushed along the generators out of its object
+    (``generating_morphisms``), not along every arrow, and that closes
+    the spans under every arrow.  Identities fix every span.  A
+    non-identity arrow h is a word g_k o ... o g_1 in the generators,
+    and P is a functor, so P(h) v = P(g_k) ... P(g_1) v; by induction
+    on k each partial product of a vector of the span at h's source
+    lies in the span at its target, since every span is closed under
+    every generator leaving its object.  The spans are then a
+    subfunctor, and the smallest one, since any subfunctor containing
+    the vectors contains everything pushed here.  This rests on P being
+    a functor on an associative base, as every generator check does
+    (see ``generating_morphisms``)."""
     p = P.p
     spans = {y: _Echelon(P.dims[y], p) for y in P.base.objects}
+    gens_from = {}
+    for g in generating_morphisms(P.base):
+        gens_from.setdefault(g[0], []).append(g)
     frontier = list(raw)
     while frontier:
         y, vec = frontier.pop()
         if not spans[y].insert(vec):
             continue
-        for z in P.base.objects:
-            for m in P.base.hom(y, z):
-                frontier.append((z, _apply(P.mats[m], list(vec), p)))
+        for g in gens_from.get(y, ()):
+            frontier.append((g[1], _apply(P.mats[g], list(vec), p)))
     return spans
 
 
 def _quotient_functor(P: LinearFunctor, sub: dict, name="") -> LinearFunctor:
     """P / S for a subfunctor given by echelon spans, in the basis of
-    coordinates complementary to the span's pivot columns."""
+    coordinates complementary to the span's pivot columns.
+
+    At each object y, with (R_y, piv_y) the reduced row echelon form of
+    the span and free_y the other columns, the residue of v modulo the
+    span is v - sum_r v[piv_r] R_y[r], which is zero on the pivot
+    columns; on free_y it reads v[free] - R_y[:, free]^T v[piv].  That
+    is Proj_y v, with Proj_y the identity on the free coordinates and
+    -R_y[:, free]^T on the pivot columns, and
+    Q(m) = Proj_y P(m) Incl_x for m: x -> y, Incl_x the inclusion of
+    the free columns.  The result cannot depend on how the span was
+    found: a vector of the span that is zero on all its pivot columns
+    is zero, so the residue zero there is unique, and the pivot set of
+    an echelon basis is fixed by the span itself.  So neither the order
+    in which ``_action_closure`` inserted its vectors nor reducing by
+    whole matrices instead of column by column changes a single entry.
+    The constructor checks the quotient in full."""
     p = P.p
-    free = {}
+    proj, incl, dims = {}, {}, {}
     for y in P.base.objects:
-        leads = {c for c, _ in sub[y].rows}
-        free[y] = [j for j in range(P.dims[y]) if j not in leads]
-    dims = {y: len(free[y]) for y in P.base.objects}
-
-    def project(y, vec):
-        red = sub[y].residue(vec)
-        return [red[j] for j in free[y]]
-
-    mats = {}
-    for m in P.base.all_morphisms():
-        cols = []
-        for j in free[m[0]]:
-            basis = [0] * P.dims[m[0]]
-            basis[j] = 1
-            cols.append(project(m[1], _apply(P.mats[m], basis, p)))
-        mats[m] = FinMatrix.from_columns(cols, dims[m[1]], p)
+        n = P.dims[y]
+        R, piv = sub[y].matrix().rref()
+        leads = set(piv)
+        free = [j for j in range(n) if j not in leads]
+        entries = {(a, j): 1 for a, j in enumerate(free)}
+        for row, c in zip(R, piv):
+            for a, j in enumerate(free):
+                if row[j]:
+                    entries[(a, c)] = -row[j]
+        proj[y] = FinMatrix(len(free), n, entries, p)
+        incl[y] = FinMatrix(n, len(free), {(j, a): 1 for a, j in enumerate(free)}, p)
+        dims[y] = len(free)
+    mats = {m: proj[m[1]] @ (P.mats[m] @ incl[m[0]]) for m in P.base.all_morphisms()}
     return LinearFunctor(P.base, p, dims, mats, name=name)
 
 
@@ -451,6 +483,18 @@ class _Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def matrix(self) -> FinMatrix:
+        """The stored rows as a rank x dim matrix, in pivot order."""
+        entries = {}
+        for r, (_, row) in enumerate(self.rows):
+            if self.p:
+                for j in np.nonzero(row)[0].tolist():
+                    entries[(r, j)] = int(row[j])
+            else:
+                for j, v in row:
+                    entries[(r, j)] = v
+        return FinMatrix(len(self.rows), self.dim, entries, self.p)
 
 
 # -- projective resolutions ------------------------------------------------
@@ -537,18 +581,30 @@ class Resolution:
     def realize(self, k: int, y) -> FinMatrix:
         """Matrix of d_k at y: T_k(y) -> T_{k-1}(y), d_0 being the
         augmentation.  Column (j, f) is push(k - 1, f, image of
-        generator j), which is naturality read off the generators."""
+        generator j), which is naturality read off the generators.  Mod p
+        each image in R_{k-1} becomes an array once, the columns fill one
+        array, and the matrix is read off its nonzeros."""
         key = (k, y)
         mat = self._rd.get(key)
         if mat is None:
+            basis = self.term_basis(k, y)
+            nrows = self.term_dim(k - 1, y)
             images = {}
-            cols = []
-            for j, f in self.term_basis(k, y):
+            for j, f in basis:
                 if j not in images:
-                    images[j] = self.aug[j] if k == 0 else _dense(
+                    image = self.aug[j] if k == 0 else _dense(
                         self.term_index(k - 1, f[0]), self.diffs[k][j])
-                cols.append(self.push(k - 1, f, images[j]))
-            mat = FinMatrix.from_columns(cols, self.term_dim(k - 1, y), self.p)
+                    images[j] = np.asarray(image, dtype=np.int64) if self.p and k else image
+            if self.p:
+                arr = np.empty((len(basis), nrows), dtype=np.int64)
+                for c, (j, f) in enumerate(basis):
+                    arr[c] = self.push(k - 1, f, images[j])
+                cs, rows = np.nonzero(arr)
+                entries = dict(zip(zip(rows.tolist(), cs.tolist()), arr[cs, rows].tolist()))
+                mat = FinMatrix(nrows, len(basis), entries, self.p)
+            else:
+                cols = [self.push(k - 1, f, images[j]) for j, f in basis]
+                mat = FinMatrix.from_columns(cols, nrows, self.p)
             self._rd[key] = mat
         return mat
 
@@ -822,9 +878,11 @@ def generating_morphisms(base: FinCategory) -> list:
     functoriality, by induction on the word length of h.  With
     h = g_k o h', associativity of the base gives
     F(h o f) = F(g_k o (h' o f)) = F(g_k) F(h' o f) = F(g_k) F(h') F(f)
-    = F(h) F(f); the same reading of naturality squares is what
-    ``hom_solver`` relies on.  The argument needs the base to be
-    associative.  Where each base gets that from:
+    = F(h) F(f).  The same word-length reading is what ``hom_solver``
+    relies on for naturality squares and what ``_action_closure``
+    relies on to close a subfunctor under generators only.  The
+    argument needs the base to be associative.  Where each base gets
+    that from:
 
     * ``gamma_category``, ``delta_category``: composition of pointed
       and of monotone maps, which is composition of functions;
@@ -1089,7 +1147,9 @@ def les_check_ass(N: int, F: LinearFunctor, K: int) -> dict:
     """Long-exact-sequence verification for the vertex-functor short
     exact sequence over the simplex category truncated at N, against a
     coefficient functor F, through cohomological degree K.  F must live
-    on the simplex category truncated at N.
+    on the simplex category truncated at N, with the hom sets of
+    ``delta_category(N)``; any other base is a ValueError raised before
+    anything is cached.
 
     The report carries (a) pointwise short exactness with ranks, (b)
     the projectivity facts for the middle term (higher Ext vanishes,
@@ -1098,9 +1158,9 @@ def les_check_ass(N: int, F: LinearFunctor, K: int) -> dict:
     witnessed by induced ranks on cohomology.
     """
     base = F.base
-    if base.objects != tuple(range(N + 1)):
-        raise ValueError(f"coefficient functor's base has objects {base.objects!r}, "
-                         f"not the truncation at {N}")
+    if base.objects != tuple(range(N + 1)) or base.homs != delta_category(N).homs:
+        raise ValueError(f"coefficient functor's base is not the simplex category "
+                         f"truncated at {N}")
     p = F.p
     L = K + 2
     A, B, C, rho, pi, resA, resC, resB, lam = _les_infrastructure(N, p, L, base)

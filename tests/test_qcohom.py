@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,13 @@ from optwist.qcohom import (
     LinearFunctor,
     Resolution,
     ResolutionError,
+    _Echelon,
+    _action_closure,
+    _apply,
     _generating_morphisms,
+    _les_infra,
     _pointed_pullback,
+    _quotient_functor,
     _representables,
     bar_resolution,
     build_resolution,
@@ -39,6 +46,7 @@ from optwist.qcohom import (
     stable_cohomotopy,
     transport_to_tw,
 )
+from optwist.serialize import build_base
 from optwist.twisted import FinCategory, tw_category, tw_com_fast
 
 
@@ -457,6 +465,16 @@ def test_les_rejects_a_base_of_another_truncation():
     assert rep["truncation"] == 3
 
 
+def test_les_rejects_a_base_that_is_not_the_simplex_category():
+    # gamma:2 has the objects 0..2 of delta:2 but other hom sets
+    cached = set(_les_infra)
+    with pytest.raises(ValueError):
+        les_check_ass(2, constant_functor(gamma_category(2), 101), 1)
+    assert set(_les_infra) == cached
+    rep = les_check_ass(2, constant_functor(delta_category(2), 101), 1)
+    assert rep["all_exact"]
+
+
 def test_les_slot_fields_present():
     base = delta_category(2)
     rep = les_check_ass(2, constant_functor(base, 101), 1)
@@ -488,6 +506,142 @@ def test_random_functor_is_deterministic():
     assert F.dims == G.dims
     assert F.mats == G.mats
     assert F.total_dim() > 0
+
+
+def _closure_bases():
+    g2 = gamma_category(2)
+    return [g2, delta_category(2), delta_category(3), tw_com_fast(2),
+            tw_category(ass(), 2), op_category(g2)]
+
+
+def _closure_inputs(base, p, seed):
+    """A sum of two representables and two random vectors in it, drawn
+    from a stream of the test's own."""
+    rng = random.Random(f"closure-test:{seed}:{p}")
+    xs = tuple(sorted(rng.choice(base.objects) for _ in range(2)))
+    P = _representables(base, xs, p, "sum")
+    raw = []
+    for _ in range(2):
+        y = rng.choice(base.objects)
+        raw.append((y, [rng.randrange(p) if p else Fraction(rng.randrange(-3, 4))
+                        for _ in range(P.dims[y])]))
+    return P, raw
+
+
+@pytest.mark.parametrize("p", [0, 101])
+def test_action_closure_is_closed_under_every_arrow(p):
+    # the closure pushes along generators only; its spans must still be
+    # closed under every arrow, and equal the span of the vectors pushed
+    # along every arrow out of their objects (identities included)
+    for base in _closure_bases():
+        for seed in range(3):
+            P, raw = _closure_inputs(base, p, seed)
+            spans = _action_closure(P, raw)
+            for m in base.all_morphisms():
+                for row in spans[m[0]].matrix().to_rows():
+                    assert spans[m[1]].contains(_apply(P.mats[m], row, p)), (base, seed, m)
+            for z in base.objects:
+                pushed = [_apply(P.mats[m], vec, p)
+                          for y, vec in raw for m in base.hom(y, z)]
+                for vec in pushed:
+                    assert spans[z].contains(vec)
+                ref = FinMatrix.from_rows(pushed, p).rank() if pushed else 0
+                assert spans[z].rank == ref, (base, seed, z)
+
+
+def _quotient_by_columns(P, spans):
+    """P / S with each basis column of each P(m) reduced on its own by
+    ``_Echelon.residue`` and read off on the columns free of pivots."""
+    p = P.p
+    free = {}
+    for y in P.base.objects:
+        leads = {c for c, _ in spans[y].rows}
+        free[y] = [j for j in range(P.dims[y]) if j not in leads]
+    mats = {}
+    for m in P.base.all_morphisms():
+        cols = []
+        for j in free[m[0]]:
+            basis = [0] * P.dims[m[0]]
+            basis[j] = 1
+            red = spans[m[1]].residue(_apply(P.mats[m], basis, p))
+            cols.append([int(red[i]) if p else red[i] for i in free[m[1]]])
+        mats[m] = FinMatrix.from_columns(cols, len(free[m[1]]), p)
+    return {y: len(free[y]) for y in P.base.objects}, mats
+
+
+@pytest.mark.parametrize("p", [0, 101])
+def test_quotient_matches_columnwise_residues(p):
+    # whole-matrix projection against column-by-column residues, and the
+    # same quotient whatever order the closure inserted its vectors in
+    for base in _closure_bases():
+        for seed in range(3):
+            P, raw = _closure_inputs(base, p, seed)
+            spans = _action_closure(P, raw)
+            Q = _quotient_functor(P, spans, name="q")
+            dims, mats = _quotient_by_columns(P, spans)
+            assert Q.dims == dims
+            assert Q.mats == mats
+            R = _quotient_functor(P, _action_closure(P, raw[::-1]), name="q")
+            assert (R.dims, R.mats) == (Q.dims, Q.mats)
+
+
+def _functor_digest(functors) -> str:
+    """SHA-256 over the names, dims and every matrix of the functors, in
+    the base's object and arrow order."""
+    h = hashlib.sha256()
+    for F in functors:
+        h.update(F.name.encode())
+        for x in F.base.objects:
+            h.update(f"|{F.dims[x]}".encode())
+        for m in F.base.all_morphisms():
+            h.update(b"#")
+            for (i, j), v in sorted(F.mats[m].entries.items()):
+                h.update(f"{i},{j},{v};".encode())
+    return h.hexdigest()
+
+
+def _digest_base(hint):
+    if hint == "op:gamma:2":
+        return op_category(gamma_category(2))
+    return build_base(hint)
+
+
+# random_functor over seeds 0..3, digested as in _functor_digest; the
+# values were taken from the column-by-column construction that the
+# whole-matrix one replaced
+_PINNED_RANDOM_FUNCTORS = {
+    ("gamma:2", 0):
+        "9509fecfc2cfd469ee9ee7182c9dc4249ce578cb827d2a5b5140d4c6f7bc7350",
+    ("gamma:2", 101):
+        "5e74ac2a927e9ab102c9b6447bc66f31ddf282757ec990bd3541d9d9cfa69d98",
+    ("delta:2", 0):
+        "5e91a94756fdfad317a1c4728af5016faed66df7aabed28e635a58eb7e8d9f4b",
+    ("delta:2", 101):
+        "a02b0e062b8d0fed377268345b3a457c896af94838644042b86d76442ac80dba",
+    ("delta:3", 0):
+        "acbea107938bb1e7b8b0f21aca7e6f966c2884f852a3d75cd5fee9ba730b9cef",
+    ("delta:3", 101):
+        "e8c0963def65dd3231ceb3eafed71c7fbff1a62c59e68661dbd8eecfd1bcf25b",
+    ("tw:com:2", 0):
+        "9509fecfc2cfd469ee9ee7182c9dc4249ce578cb827d2a5b5140d4c6f7bc7350",
+    ("tw:com:2", 101):
+        "5e74ac2a927e9ab102c9b6447bc66f31ddf282757ec990bd3541d9d9cfa69d98",
+    ("tw:ass:2", 0):
+        "9939db4829360402ee7bbcb84983400d557eca8a7656dda4b37faa4446f6e09e",
+    ("tw:ass:2", 101):
+        "089b16c7779328ed5d6e127a895f404677975ed360facd1d7edb69f586f9f6d5",
+    ("op:gamma:2", 0):
+        "f4596c109e6b009ded514c4690422ef491b3711991623f704d08e548048e528e",
+    ("op:gamma:2", 101):
+        "123637f0b5e750b11ff427a2b597eca33b0036fd82f423b0859a3dd4f20e2e94",
+}
+
+
+@pytest.mark.parametrize("hint,p", sorted(_PINNED_RANDOM_FUNCTORS))
+def test_random_functor_digests_are_pinned(hint, p):
+    base = _digest_base(hint)
+    functors = [random_functor(base, p, seed) for seed in range(4)]
+    assert _functor_digest(functors) == _PINNED_RANDOM_FUNCTORS[(hint, p)]
 
 
 def test_quillen_table_shape_and_vanishing_small():
