@@ -557,7 +557,9 @@ class Resolution:
     def push(self, k: int, f, vec):
         """T_k(f) vec.  On R_k this is the index scatter
         (i, h) |-> (i, f o h), with the index array cached per (k, f);
-        on T_{-1} = M it is the matrix M(f)."""
+        on T_{-1} = M it is the matrix M(f).  On R_k a vector may also
+        be given sparsely, as {position: c}, and comes back the same way
+        with its coefficients summed but not reduced."""
         if k == -1:
             return _apply(self.M.mats[f], vec, self.p)
         idx = self._push_idx.get((k, f))
@@ -567,6 +569,12 @@ class Resolution:
             if self.p:
                 idx = np.asarray(idx, dtype=np.int64)
             self._push_idx[(k, f)] = idx
+        if isinstance(vec, dict):
+            out = {}
+            for pos, c in vec.items():
+                r = int(idx[pos])
+                out[r] = out.get(r, 0) + c
+            return out
         dim = self.term_dim(k, f[1])
         if self.p:
             out = np.zeros(dim, dtype=np.int64)
@@ -581,30 +589,25 @@ class Resolution:
     def realize(self, k: int, y) -> FinMatrix:
         """Matrix of d_k at y: T_k(y) -> T_{k-1}(y), d_0 being the
         augmentation.  Column (j, f) is push(k - 1, f, image of
-        generator j), which is naturality read off the generators.  Mod p
-        each image in R_{k-1} becomes an array once, the columns fill one
-        array, and the matrix is read off its nonzeros."""
+        generator j), which is naturality read off the generators.  For
+        k >= 1 the images are the stored expansions, pushed sparsely, so
+        the cost follows the nonzeros and no dense column is built."""
         key = (k, y)
         mat = self._rd.get(key)
         if mat is None:
             basis = self.term_basis(k, y)
-            nrows = self.term_dim(k - 1, y)
-            images = {}
-            for j, f in basis:
-                if j not in images:
-                    image = self.aug[j] if k == 0 else _dense(
-                        self.term_index(k - 1, f[0]), self.diffs[k][j])
-                    images[j] = np.asarray(image, dtype=np.int64) if self.p and k else image
-            if self.p:
-                arr = np.empty((len(basis), nrows), dtype=np.int64)
-                for c, (j, f) in enumerate(basis):
-                    arr[c] = self.push(k - 1, f, images[j])
-                cs, rows = np.nonzero(arr)
-                entries = dict(zip(zip(rows.tolist(), cs.tolist()), arr[cs, rows].tolist()))
-                mat = FinMatrix(nrows, len(basis), entries, self.p)
+            if k == 0:
+                cols = [self.push(-1, f, self.aug[j]) for j, f in basis]
+                mat = FinMatrix.from_columns(cols, self.M.dims[y], self.p)
             else:
-                cols = [self.push(k - 1, f, images[j]) for j, f in basis]
-                mat = FinMatrix.from_columns(cols, nrows, self.p)
+                images, entries = {}, {}
+                for c, (j, f) in enumerate(basis):
+                    if j not in images:
+                        index = self.term_index(k - 1, f[0])
+                        images[j] = {index[b]: v for b, v in self.diffs[k][j].items()}
+                    for r, v in self.push(k - 1, f, images[j]).items():
+                        entries[(r, c)] = v
+                mat = FinMatrix(self.term_dim(k - 1, y), len(basis), entries, self.p)
             self._rd[key] = mat
         return mat
 
@@ -629,14 +632,6 @@ class Resolution:
         mats = [_hom_block(F, self.terms[k], self.terms[k - 1], self.diffs[k])
                 for k in range(1, len(self.terms))]
         return CochainComplex(dims, mats, self.p)
-
-
-def _dense(index: dict, expansion: dict) -> list:
-    """An expansion {basis element: c} as a vector in the basis index."""
-    vec = [0] * len(index)
-    for b, c in expansion.items():
-        vec[index[b]] = c
-    return vec
 
 
 def _expansion(basis: list, vec) -> dict:
