@@ -412,8 +412,7 @@ def _quotient_functor(P: LinearFunctor, sub: dict, name="") -> LinearFunctor:
         entries = {(a, j): 1 for a, j in enumerate(free)}
         for row, c in zip(R, piv):
             for a, j in enumerate(free):
-                if row[j]:
-                    entries[(a, c)] = -row[j]
+                entries[(a, c)] = -row[j]
         proj[y] = FinMatrix(len(free), n, entries, p)
         incl[y] = FinMatrix(n, len(free), {(j, a): 1 for a, j in enumerate(free)}, p)
         dims[y] = len(free)
