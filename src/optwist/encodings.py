@@ -25,10 +25,16 @@ input per source), and the permutation-shaped sub-encoding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .operads import DiscreteOperad
-from .pointed import PointedMap, enumerate_pointed_maps, sigma_inv_values
+from .pointed import (
+    PointedMap,
+    _set_field,
+    enumerate_pointed_maps,
+    sigma_inv_values,
+)
 from .products import compose_blocks
 
 Seq = tuple[tuple, object]  # (input colors, output color)
@@ -47,6 +53,13 @@ class IbMorphism:
     ``alphas[i-1]`` lives over the i-th source slot with inputs the
     fiber of i in increasing order; ``alpha0`` has the source output as
     first input, then the killed target positions in increasing order.
+
+    Calling ``IbMorphism(...)`` validates that the shape matches the
+    sequences and that there is one component per source input; every
+    arrow built from outside data or from enumeration goes through it
+    (``enumerate_ib``, ``sigma_equivalence``, a serialized load,
+    ``multi_to_ib``).  ``ib_compose`` alone builds its result trusted,
+    because composition preserves both conditions (see its docstring).
     """
 
     source: Seq
@@ -54,7 +67,6 @@ class IbMorphism:
     f: PointedMap
     alpha0: object
     alphas: tuple
-    _sigma_inv: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = len(self.source[0]), len(self.target[0])
@@ -62,7 +74,12 @@ class IbMorphism:
             raise ValueError("shape does not match the sequences")
         if len(self.alphas) != n:
             raise ValueError("need one component per source input")
-        object.__setattr__(self, "_sigma_inv", sigma_inv_values(self.f))
+
+    @cached_property
+    def _sigma_inv(self) -> tuple:
+        """Twist used by ``act``; computed on first use and kept on the
+        instance, outside the fields, so equality and hashing ignore it."""
+        return sigma_inv_values(self.f)
 
 
 def _zero_fiber_colors(alpha_target: Seq, f: PointedMap) -> tuple:
@@ -91,23 +108,35 @@ def act(P: DiscreteOperad, alpha: IbMorphism, theta):
 
 
 def ib_compose(P: DiscreteOperad, beta: IbMorphism, alpha: IbMorphism) -> IbMorphism:
-    """beta after alpha; shapes compose the other way around."""
+    """beta after alpha; shapes compose the other way around.
+
+    The result is built without re-running ``IbMorphism``'s checks; it
+    satisfies them by construction.  Say alpha is ``S -> T`` and beta is
+    ``T -> U`` (``alpha.target == beta.source`` is checked here).  Then
+    ``alpha.f`` is ``<|T|> -> <|S|>`` and ``beta.f`` is ``<|U|> ->
+    <|T|>``, so ``f = alpha.f . beta.f`` is ``<|U|> -> <|S|>``: the
+    shape of an arrow ``S -> U``.  ``gammas`` has one entry per
+    component of alpha, and alpha has one per input of S.
+    """
     if alpha.target != beta.source:
         raise ValueError("morphisms are not composable")
     fa, fb = alpha.f, beta.f
-    f = fa.compose(fb)
-    gammas = []
-    for i in range(1, len(alpha.source[0]) + 1):
-        labeled = [(fb.fiber(j), beta.alphas[j - 1]) for j in fa.fiber(i)]
-        gammas.append(compose_blocks(P, alpha.alphas[i - 1], labeled))
+    fib_a, fib_b = fa.fibers, fb.fibers
+    b_alphas = beta.alphas
+    gammas = tuple(
+        compose_blocks(
+            P, a_i, [(fib_b[j], b_alphas[j - 1]) for j in fib_a[i]]
+        )
+        for i, a_i in enumerate(alpha.alphas, start=1)
+    )
     # head: expand alpha's killed slots through beta, then absorb the
     # slots beta kills outright; synthetic labels keep the head input
     # first and the killed target positions sorted
     c_src = alpha.source[1]
     inner_labeled = [(((-1, 0),), P.unit(c_src))]
-    for j in fa.fiber(0):
+    for j in fib_a[0]:
         inner_labeled.append(
-            (tuple((0, s) for s in fb.fiber(j)), beta.alphas[j - 1])
+            (tuple((0, s) for s in fib_b[j]), b_alphas[j - 1])
         )
     inner = compose_blocks(P, alpha.alpha0, inner_labeled)
     inner_labels = tuple(
@@ -115,10 +144,15 @@ def ib_compose(P: DiscreteOperad, beta: IbMorphism, alpha: IbMorphism) -> IbMorp
     )
     d_tgt = beta.target[0]
     head_labeled = [(inner_labels, inner)] + [
-        (((0, t),), P.unit(d_tgt[t - 1])) for t in fb.fiber(0)
+        (((0, t),), P.unit(d_tgt[t - 1])) for t in fib_b[0]
     ]
-    alpha0 = compose_blocks(P, beta.alpha0, head_labeled)
-    return IbMorphism(alpha.source, beta.target, f, alpha0, tuple(gammas))
+    out = object.__new__(IbMorphism)
+    _set_field(out, "source", alpha.source)
+    _set_field(out, "target", beta.target)
+    _set_field(out, "f", fa.compose(fb))
+    _set_field(out, "alpha0", compose_blocks(P, beta.alpha0, head_labeled))
+    _set_field(out, "alphas", gammas)
+    return out
 
 
 def enumerate_ib(P: DiscreteOperad, src: Seq, tgt: Seq) -> list[IbMorphism]:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from optwist.encodings import (
     multi_to_ib,
 )
 from optwist.operads import ass, com
-from optwist.pointed import PointedMap
+from optwist.pointed import PointedMap, sigma_inv_values
 
 
 def all_ib(P, n, m):
@@ -107,6 +108,44 @@ class TestActFunctoriality:
                                 assert act(P, ba, theta) == act(
                                     P, b, acted[(ai, theta)]
                                 )
+
+
+class TestTrustedComposite:
+    """``ib_compose`` skips ``IbMorphism``'s checks; its result must be
+    the arrow the validating constructor builds from the same data."""
+
+    @staticmethod
+    def _assert_valid(P, b, a):
+        r = ib_compose(P, b, a)
+        assert r._sigma_inv == sigma_inv_values(r.f)
+        f = PointedMap(r.f.n, r.f.m, r.f.values)
+        rebuilt = IbMorphism(r.source, r.target, f, r.alpha0, r.alphas)
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+
+    @pytest.mark.parametrize("P", [ass(), com()])
+    def test_every_pair_up_to_arity_2(self, P):
+        for n, m, l in itertools.product(range(3), repeat=3):
+            for a in all_ib(P, n, m):
+                for b in all_ib(P, m, l):
+                    self._assert_valid(P, b, a)
+
+    @pytest.mark.parametrize("P", [ass(), com()])
+    def test_seeded_sample_at_arity_3(self, P):
+        rng = random.Random(3)
+        for n, m, l in itertools.product(range(4), repeat=3):
+            if max(n, m, l) < 3:
+                continue
+            homs_nm, homs_ml = all_ib(P, n, m), all_ib(P, m, l)
+            for _ in range(4):
+                self._assert_valid(P, rng.choice(homs_ml), rng.choice(homs_nm))
+
+    def test_constructor_still_validates(self):
+        P = com()
+        seq1, seq2 = mono_seq(P, 1), mono_seq(P, 2)
+        with pytest.raises(ValueError):
+            IbMorphism(seq1, seq2, PointedMap(1, 2, (1,)), P.unit(), (P.unit(),))
+        with pytest.raises(ValueError):
+            IbMorphism(seq1, seq1, PointedMap.identity(1), P.unit(), ())
 
 
 class TestSigmaShapes:

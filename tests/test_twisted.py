@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from optwist.encodings import act, enumerate_ib, ib_compose, ib_identity, mono_seq
 from optwist.operads import FreeReducedOperad, ass, com, identity_values, perms
-from optwist.pointed import PointedMap
+from optwist.pointed import PointedMap, enumerate_pointed_maps
 from optwist.twisted import (
     CertificationError,
     FinCategory,
     SetFunctor,
+    _check_composite_shapes,
+    _has_inverse_in,
     certify_tw_ass,
     certify_tw_com,
     grothendieck,
@@ -103,6 +106,102 @@ def test_non_bijective_shape_is_not_an_equivalence():
     assert not is_equivalence(P, drops[0])
 
 
+def _has_inverse_by_scan(P, triple) -> bool:
+    """Unfiltered scan of every arrow back for a two-sided inverse."""
+    src, tgt, alpha = triple
+    e_src = ib_identity(P, mono_seq(P, src[0]))
+    e_tgt = ib_identity(P, mono_seq(P, tgt[0]))
+    back = enumerate_ib(P, mono_seq(P, tgt[0]), mono_seq(P, src[0]))
+    return any(
+        act(P, beta, tgt[1]) == src[1]
+        and ib_compose(P, beta, alpha) == e_src
+        and ib_compose(P, alpha, beta) == e_tgt
+        for beta in back
+    )
+
+
+@pytest.mark.parametrize("P_factory,N", [(ass, 2), (com, 3)])
+def test_inverse_search_matches_unfiltered_scan(P_factory, N):
+    P = P_factory()
+    found = 0
+    for tr in tw_category(P, N).all_morphisms():
+        got = is_equivalence(P, tr)
+        assert got == _has_inverse_by_scan(P, tr)
+        found += got
+    assert found > 0
+
+
+def test_inverse_search_misses_a_removed_inverse():
+    P = ass()
+    tr = sigma_equivalence(P, (3, identity_values(3)), (2, 3, 1))
+    endos = enumerate_ib(P, mono_seq(P, 3), mono_seq(P, 3))
+    e = ib_identity(P, mono_seq(P, 3))
+    inverses = [
+        beta
+        for beta in endos
+        if act(P, beta, tr[1][1]) == tr[0][1]
+        and ib_compose(P, beta, tr[2]) == e
+        and ib_compose(P, tr[2], beta) == e
+    ]
+    assert len(inverses) == 1
+    assert _has_inverse_in(P, tr, endos)
+    assert not _has_inverse_in(P, tr, [b for b in endos if b != inverses[0]])
+
+
+def _maps(n: int, m: int) -> list:
+    """Value tuples of all pointed maps <n> -> <m>."""
+    return [f.values for f in enumerate_pointed_maps(n, m)]
+
+
+def _composite(fa: tuple, fb: tuple) -> tuple:
+    """Value tuple of fa . fb, one pair at a time."""
+    return tuple(((0,) + fa)[v] for v in fb)
+
+
+def _escapes_by_pairs(fas, fbs, keys) -> bool:
+    """Per-pair oracle: some composite shape fa . fb is not a key."""
+    keys = set(keys)
+    return any(_composite(fa, fb) not in keys for fa in fas for fb in fbs)
+
+
+def test_row_shape_check_matches_pair_oracle():
+    rng = random.Random(5)
+    for n, m, l in itertools.product(range(4), repeat=3):
+        all_a, all_b, all_k = _maps(m, n), _maps(l, m), _maps(l, n)
+        for trial in range(4):
+            fas = rng.sample(all_a, rng.randint(1, len(all_a)))
+            fbs = rng.sample(all_b, rng.randint(1, len(all_b)))
+            reached = {_composite(fa, fb) for fa in fas for fb in fbs}
+            keys = [k for k in all_k if k in reached or rng.random() < 0.5]
+            if trial % 2:
+                keys.remove(rng.choice(keys))
+            if _escapes_by_pairs(fas, fbs, keys):
+                with pytest.raises(CertificationError):
+                    _check_composite_shapes(fas, fbs, keys, n, l)
+            else:
+                _check_composite_shapes(fas, fbs, keys, n, l)
+
+
+def test_row_shape_check_empty_keys():
+    _check_composite_shapes([], [()], [], 2, 0)
+    with pytest.raises(CertificationError):
+        _check_composite_shapes([(1, 0)], [()], [], 2, 0)
+    with pytest.raises(CertificationError):
+        _check_composite_shapes([()], [(0, 0)], [], 0, 2)
+
+
+def test_row_shape_check_catches_a_missing_hom_shape():
+    P = com()
+    n, m, l = 4, 1, 4
+    fas = [tr[2].f.values for tr in tw_hom(P, (n, "*"), (m, "*"))]
+    fbs = [tr[2].f.values for tr in tw_hom(P, (m, "*"), (l, "*"))]
+    keys = [tr[2].f.values for tr in tw_hom(P, (n, "*"), (l, "*"))]
+    _check_composite_shapes(fas, fbs, keys, n, l)
+    missing = _composite(fas[-1], fbs[-1])
+    with pytest.raises(CertificationError):
+        _check_composite_shapes(fas, fbs, [k for k in keys if k != missing], n, l)
+
+
 def test_terminal_objects_are_nullary_operations():
     assert terminal_objects(tw_category(com(), 2)) == [(0, "*")]
     assert terminal_objects(tw_category(ass(), 2)) == [(0, ())]
@@ -139,6 +238,31 @@ def test_certify_tw_ass_small():
         for m in range(3)
         for n in range(3)
     )
+
+
+_TW_COM_CERTIFICATES = [
+    {"objects": 1, "morphisms": 1, "pairs": 1, "generic_pairs": 1},
+    {"objects": 2, "morphisms": 5, "pairs": 13, "generic_pairs": 13},
+    {"objects": 3, "morphisms": 23, "pairs": 233, "generic_pairs": 233},
+    {"objects": 4, "morphisms": 144, "pairs": 9866, "generic_pairs": 9866},
+]
+
+_TW_ASS_CERTIFICATES = [
+    {"objects": 1, "hom_pairs": 1, "witnesses": 1, "functorial_pairs": 1,
+     "sigma_links": 1},
+    {"objects": 2, "hom_pairs": 4, "witnesses": 7, "functorial_pairs": 26,
+     "sigma_links": 2},
+    {"objects": 4, "hom_pairs": 9, "witnesses": 31, "functorial_pairs": 393,
+     "sigma_links": 4},
+    {"objects": 10, "hom_pairs": 16, "witnesses": 121,
+     "functorial_pairs": 5374, "sigma_links": 10},
+]
+
+
+@pytest.mark.parametrize("N", range(4))
+def test_certificates_below_arity_4(N):
+    assert certify_tw_com(N) == _TW_COM_CERTIFICATES[N]
+    assert certify_tw_ass(N) == _TW_ASS_CERTIFICATES[N]
 
 
 def test_certify_tw_com_4_certificate():
