@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .linalg import FinMatrix
@@ -35,13 +36,11 @@ from .qcohom import (
     LinearFunctor,
     ResolutionError,
     constant_functor,
-    delta_category,
     eta_shriek,
     ext,
     ext_both,
     f_ass_delta,
     f_operad,
-    gamma_category,
     gamma_t,
     les_check_ass,
     quillen_cohomology,
@@ -195,9 +194,9 @@ def parse_functor(spec: str, base, hint: str, p: int, seed) -> LinearFunctor:
         return constant_functor(base, p, int(d))
     if spec == "t":
         if kind == "gamma":
-            return gamma_t(N, p)
+            return gamma_t(N, p, base)
         if hint.startswith("tw:com"):
-            return transport_to_tw(gamma_t(N, p), base)
+            return transport_to_tw(gamma_t(N, p, build_base(f"gamma:{N}")), base)
         raise UsageError("t lives over gamma:N or tw:com:N")
     if spec == "eta":
         if kind != "delta":
@@ -402,9 +401,10 @@ def cmd_gamma_ext_t(args) -> int:
     p = parse_field(args.field)
     N = args.trunc
     a, b = parse_degrees(args.degrees)
-    base = gamma_category(N)
-    M = gamma_t(N, p)
-    F = parse_functor(args.target, base, f"gamma:{N}", p, args.seed)
+    hint = f"gamma:{N}"
+    base = build_base(hint)
+    M = gamma_t(N, p, base)
+    F = parse_functor(args.target, base, hint, p, args.seed)
     cfg = _config(args, p=p, truncation=N, backend=args.backend)
     return _ext_table(cfg, M, F, a, b, args.backend)
 
@@ -414,7 +414,7 @@ def cmd_ass_les_check(args) -> int:
     if p == 0:
         raise UsageError("les-check needs a prime field; use --field fp:P")
     N, K = args.trunc, args.top_degree
-    base = delta_category(N)
+    base = build_base(f"delta:{N}")
     jobs = [("const:1", constant_functor(base, p, 1)),
             ("eta", eta_shriek(N, p, base))]
     jobs += [(f"rand:{args.seed}:{i}",
@@ -446,7 +446,10 @@ def cmd_ass_les_check(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (building it costs a few
+    milliseconds per request); parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="optwist",
         description="operadic twisted arrow categories, unstraightening, "

@@ -129,10 +129,12 @@ class LinearFunctor:
     shorter word, so on an associative base
     F(h o f) = F(g_k) F(h' o f) = F(g_k) F(h') F(f) = F(h) F(f) by
     induction on word length (see ``generating_morphisms`` for where
-    each base's associativity is established).  Every functor goes
-    through this check except the sums of representables built by
-    ``_representables``, whose docstring carries the proof that stands
-    in for it.
+    each base's associativity is established).  The composites g o f
+    are read from the base's composition table
+    (``FinCategory.post_ids``), whose entries come from the base's own
+    composition.  Every functor goes through this check except the sums
+    of representables built by ``_representables``, whose docstring
+    carries the proof that stands in for it.
     """
 
     def __init__(self, base, p, dims, mats, name=""):
@@ -144,21 +146,23 @@ class LinearFunctor:
         self._validate()
 
     def _validate(self):
-        for x in self.base.objects:
-            idm = self.mats[self.base.identity(x)]
-            if idm != FinMatrix.identity(self.dims[x], self.p):
+        base, dims, p = self.base, self.dims, self.p
+        arrows = base.arrows()
+        mats = [self.mats[m] for m in arrows]  # indexed by arrow id
+        for x in base.objects:
+            if mats[base.arrow_id(base.identity(x))] != FinMatrix.identity(dims[x], p):
                 raise ValueError(f"identity at {x!r} is not an identity matrix")
-        for m in self.base.all_morphisms():
-            mat = self.mats[m]
-            if (mat.nrows, mat.ncols) != (self.dims[m[1]], self.dims[m[0]]):
+        for m, mat in zip(arrows, mats):
+            if (mat.nrows, mat.ncols) != (dims[m[1]], dims[m[0]]):
                 raise ValueError(f"matrix shape mismatch at {m!r}")
-        base, mats = self.base, self.mats
-        for g in generating_morphisms(base):
-            mg = mats[g]
+        for g in generating_ids(base):
+            mg, src = mats[g], arrows[g][0]
             for x in base.objects:
-                for f in base.hom(x, g[0]):
-                    if mats[base.compose(g, f)] != mg @ mats[f]:
-                        raise ValueError(f"functoriality fails at {g!r} o {f!r}")
+                start = base.hom_start(x, src)
+                for f, gf in enumerate(base.post_ids(g, x), start):
+                    if mats[gf] != mg @ mats[f]:
+                        raise ValueError(
+                            f"functoriality fails at {arrows[g]!r} o {arrows[f]!r}")
 
     def at(self, x) -> int:
         return self.dims[x]
@@ -178,9 +182,10 @@ def _pointed_pullback(phi: PointedMap, p: int) -> FinMatrix:
     return FinMatrix(phi.n, phi.m, entries, p)
 
 
-def gamma_t(N: int, p: int = 0) -> LinearFunctor:
+def gamma_t(N: int, p: int = 0, base=None) -> LinearFunctor:
     """<m> |-> k^m with coordinates pulled back along pointed maps."""
-    base = gamma_category(N)
+    if base is None:
+        base = gamma_category(N)
     dims = {n: n for n in base.objects}
     mats = {m: _pointed_pullback(m[2], p) for m in base.all_morphisms()}
     return LinearFunctor(base, p, dims, mats, name=f"t(N={N})")
@@ -236,7 +241,12 @@ def constant_functor(base: FinCategory, p: int = 0, dim: int = 1) -> LinearFunct
 
 def op_category(base: FinCategory) -> FinCategory:
     """The opposite category; an arrow x -> y here carries the original
-    arrow y -> x as payload."""
+    arrow y -> x as payload.  It is built once per base and kept in the
+    base's memo, so every request that dualizes over a base shares the
+    opposite's numbering and composition table as well."""
+    op = base.memo.get("op")
+    if op is not None:
+        return op
     homs = {}
     for (x, y), ms in base.homs.items():
         homs[(y, x)] = tuple((y, x, m) for m in ms)
@@ -247,7 +257,8 @@ def op_category(base: FinCategory) -> FinCategory:
     def identity_fn(x):
         return (x, x, base.identity(x))
 
-    return FinCategory(base.objects, homs, compose_fn, identity_fn)
+    op = base.memo["op"] = FinCategory(base.objects, homs, compose_fn, identity_fn)
+    return op
 
 
 def dual_functor(F: LinearFunctor, opbase: FinCategory) -> LinearFunctor:
@@ -267,7 +278,13 @@ def representable(base: FinCategory, x, p: int = 0) -> LinearFunctor:
 
 def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFunctor:
     """k[Hom(x_1, -)] + ... + k[Hom(x_r, -)], one block per entry of
-    xs, assembled straight from ``base.compose``.
+    xs, assembled straight from the base's composition table.
+
+    The basis of block x at y is hom(x, y) in hom order, so the basis
+    arrow with id h sits at position h - ``hom_start(x, y)``; the
+    matrix of g has a 1 in row ``post_ids(g, x)[j] - hom_start(x, tgt)``
+    of column j, read off one table row per (g, x) with no lookup of a
+    composite by value.
 
     These are the only functors built without the check in
     ``LinearFunctor.__init__``, the way ``MonotoneMap.compose`` builds
@@ -283,22 +300,19 @@ def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFu
     anyway, mostly rational matrix products, added about 2 s to a 3 s
     stream of rational Ext requests on a 2-core machine.
     """
-    index = {
-        (x, y): {m: i for i, m in enumerate(base.hom(x, y))}
-        for x in set(xs) for y in base.objects
-    }
-    dims = {y: sum(len(index[(x, y)]) for x in xs) for y in base.objects}
+    sizes = {(x, y): len(base.hom(x, y)) for x in set(xs) for y in base.objects}
+    dims = {y: sum(sizes[(x, y)] for x in xs) for y in base.objects}
     mats = {}
-    for g in base.all_morphisms():
+    for g, m in enumerate(base.arrows()):
         entries = {}
         ro = co = 0
         for x in xs:
-            src, tgt = base.hom(x, g[0]), index[(x, g[1])]
-            for j, f in enumerate(src):
-                entries[(ro + tgt[base.compose(g, f)], co + j)] = 1
-            ro += len(tgt)
-            co += len(src)
-        mats[g] = FinMatrix(dims[g[1]], dims[g[0]], entries, p)
+            start = base.hom_start(x, m[1])
+            for j, gf in enumerate(base.post_ids(g, x)):
+                entries[(ro + gf - start, co + j)] = 1
+            ro += sizes[(x, m[1])]
+            co += sizes[(x, m[0])]
+        mats[m] = FinMatrix(dims[m[1]], dims[m[0]], entries, p)
     F = object.__new__(LinearFunctor)
     F.base, F.p, F.dims, F.mats, F.name = base, p, dims, mats, name
     return F
@@ -449,7 +463,9 @@ class _Echelon:
                 if f:
                     arr = (arr - f * row) % self.p
             return arr
-        arr = [Fraction(v) for v in vec]
+        # int coordinates stay ints until a row touches them: an int
+        # minus a Fraction is the exact Fraction, and rows are Fractions
+        arr = list(vec)
         for c, support in self.rows:
             f = arr[c]
             if f:
@@ -555,7 +571,8 @@ class Resolution:
 
     def push(self, k: int, f, vec):
         """T_k(f) vec.  On R_k this is the index scatter
-        (i, h) |-> (i, f o h), with the index array cached per (k, f);
+        (i, h) |-> (i, f o h), read off the base's composition table
+        (``FinCategory.post_ids``) and cached per (k, f);
         on T_{-1} = M it is the matrix M(f).  On R_k a vector may also
         be given sparsely, as {position: c}, and comes back the same way
         with its coefficients summed but not reduced."""
@@ -563,8 +580,14 @@ class Resolution:
             return _apply(self.M.mats[f], vec, self.p)
         idx = self._push_idx.get((k, f))
         if idx is None:
-            tgt = self.term_index(k, f[1])
-            idx = [tgt[(i, self.base.compose(f, h))] for i, h in self.term_basis(k, f[0])]
+            # block i of T_k(y) is hom(x_i, y) in hom order, at offset o
+            base, y = self.base, f[1]
+            fid = base.arrow_id(f)
+            idx, o = [], 0
+            for x in self.terms[k]:
+                shift = o - base.hom_start(x, y)
+                idx.extend(shift + fh for fh in base.post_ids(fid, x))
+                o += len(base.hom(x, y))
             if self.p:
                 idx = np.asarray(idx, dtype=np.int64)
             self._push_idx[(k, f)] = idx
@@ -837,6 +860,7 @@ def ext(M: LinearFunctor, F: LinearFunctor, K: int, backend: str = "cover",
     has small injective data (the constant functor on a category with a
     terminal-like object being the typical case).
     """
+    _check_same_base(M, F)
     if backend == "co-cover":
         if resolution is not None:
             raise ValueError("co-cover builds its own resolution of the dual")
@@ -846,6 +870,15 @@ def ext(M: LinearFunctor, F: LinearFunctor, K: int, backend: str = "cover",
     if len(res.terms) < K + 2:
         raise ValueError("resolution too short for the requested degree")
     return res.hom_cochain(F).cohomology_dims()[: K + 1]
+
+
+def _check_same_base(M: LinearFunctor, F: LinearFunctor) -> None:
+    """ValueError unless M and F live on the same base: the same object,
+    or equal objects and hom sets.  Arrow ids from one base mean nothing
+    on another, so this runs before any table is read."""
+    a, b = M.base, F.base
+    if a is not b and (a.objects != b.objects or a.homs != b.homs):
+        raise ValueError("functors live on different bases")
 
 
 def ext_both(M: LinearFunctor, F: LinearFunctor, K: int) -> list:
@@ -888,8 +921,10 @@ def generating_morphisms(base: FinCategory) -> list:
       ``FinCategory.check(associativity=True)`` on ``com`` and ``ass``
       at arity <= 2; above that it is assumed, not proved here.
 
-    The result is computed once per base and cached on it; treat the
-    returned list as read-only.
+    The result is computed once per base and cached in ``base.memo``,
+    next to the arrow numbering and the composition table (see
+    ``FinCategory``); ``generating_ids`` gives the same arrows by id.
+    Treat the returned lists as read-only.
     """
     gens = base.memo.get("generating_morphisms")
     if gens is None:
@@ -897,8 +932,17 @@ def generating_morphisms(base: FinCategory) -> list:
     return gens
 
 
+def generating_ids(base: FinCategory) -> list:
+    """The ids of ``generating_morphisms(base)``, in the same order."""
+    ids = base.memo.get("generating_ids")
+    if ids is None:
+        ids = base.memo["generating_ids"] = [
+            base.arrow_id(g) for g in generating_morphisms(base)]
+    return ids
+
+
 def _generating_morphisms(base: FinCategory) -> list:
-    """Uncached search behind ``generating_morphisms``.
+    """Uncached search behind ``generating_morphisms``, run on arrow ids.
 
     The closure of a set of generators (the non-identity composites of
     its words) only ever grows by composing a generator on the left,
@@ -906,7 +950,8 @@ def _generating_morphisms(base: FinCategory) -> list:
     generator m extends the closure in place: m, m after every closed
     arrow into its source, then left composites as before.
     """
-    identities = {base.identity(x) for x in base.objects}
+    arrows = base.arrows()
+    identities = {base.arrow_id(base.identity(x)) for x in base.objects}
     gens = []
     gens_from = {}  # source object -> generators leaving it
     closed_into = {}  # target object -> closed arrows ending there
@@ -915,23 +960,23 @@ def _generating_morphisms(base: FinCategory) -> list:
     def add(h, frontier):
         if h not in closed and h not in identities:
             closed.add(h)
-            closed_into.setdefault(h[1], []).append(h)
+            closed_into.setdefault(arrows[h][1], []).append(h)
             frontier.append(h)
 
-    for m in base.all_morphisms():
+    for m in range(len(arrows)):
         if m in closed or m in identities:
             continue
         gens.append(m)
-        gens_from.setdefault(m[0], []).append(m)
+        gens_from.setdefault(arrows[m][0], []).append(m)
         frontier = []
-        for h in list(closed_into.get(m[0], ())):
-            add(base.compose(m, h), frontier)
+        for h in list(closed_into.get(arrows[m][0], ())):
+            add(base.compose_id(m, h), frontier)
         add(m, frontier)
         while frontier:
             h = frontier.pop()
-            for g in gens_from.get(h[1], ()):
-                add(base.compose(g, h), frontier)
-    return gens
+            for g in gens_from.get(arrows[h][1], ()):
+                add(base.compose_id(g, h), frontier)
+    return [arrows[g] for g in gens]
 
 
 def hom_solver(M: LinearFunctor, F: LinearFunctor) -> int:
@@ -940,8 +985,7 @@ def hom_solver(M: LinearFunctor, F: LinearFunctor) -> int:
     generating arrow g: y -> z reading Phi_z M(g) - F(g) Phi_y = 0.
     Constraints on a generating set suffice since naturality squares
     compose.  Shares no code with the resolution backends."""
-    if M.base.objects != F.base.objects:
-        raise ValueError("functors live on different bases")
+    _check_same_base(M, F)
     p = M.p
     offsets = {}
     nvars = 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from .encodings import IbMorphism
 from .linalg import FinMatrix
@@ -168,9 +169,19 @@ def matrix_from_json(d: dict) -> FinMatrix:
 
 # -- categories -------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def build_base(hint: str) -> FinCategory:
-    """Rebuild a category from its dump hint, e.g. ``gamma:3`` or
-    ``tw:com:4``."""
+    """Build the category a hint names, e.g. ``gamma:3`` or
+    ``tw:com:4``, once per hint per process.
+
+    Every later call with the hint returns the same object, so every
+    functor, resolution and request on it shares its arrow numbering
+    and composition table (see ``FinCategory``).  The cache keeps the
+    16 most recently used hints, more than any stream of requests here
+    uses.  Only what a hint builds is cached: ``load_category`` and
+    ``load_functor`` compare every decoded hom set and check every
+    decoded functor against the cached base, and nothing decoded is
+    kept."""
     parts = hint.split(":")
     if parts == ["empty"]:
         return FinCategory(

@@ -16,7 +16,8 @@ assignment is functorial, and each certified morphism satisfies the
 witness equation pinning its head factor.
 
 Morphisms of a ``FinCategory`` are uniformly triples
-``(source, target, payload)``.
+``(source, target, payload)``, and each one also has an integer id (see
+``FinCategory``), which the hot loops of ``qcohom`` work in.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
 from typing import Callable
 
@@ -53,6 +55,27 @@ class CertificationError(Exception):
 
 @dataclass
 class FinCategory:
+    """A finite category: objects, hom sets of triples, and a
+    composition law.
+
+    Arrows are numbered one hom set at a time, in ``homs`` order, so
+    arrow id i is ``arrows()[i]`` and hom(x, y) is the contiguous id
+    range ``hom_start(x, y) .. hom_start(x, y) + len(hom(x, y)) - 1``;
+    an arrow's position in its hom set is its id minus that start.
+
+    The composition table is filled lazily, one post-compose row at a
+    time: ``post_ids(g, x)`` lists the ids of g o f for f in
+    hom(x, source of g), each composite computed once through
+    ``compose`` and stored as its id, and ``compose_id`` reads one
+    entry.  The table holds ints only, never payloads.  The numbering,
+    the table (``memo["compose_table"]``) and the generating set (see
+    ``qcohom.generating_morphisms``) live in ``memo``.  They are derived
+    from the category, which is never changed after construction, so
+    every functor, resolution and request on the same base object shares
+    them; ``serialize.build_base`` keeps one base per hint per process
+    for that reason.
+    """
+
     objects: tuple
     homs: dict  # (x, y) -> tuple of triples (x, y, payload)
     compose_fn: Callable = field(repr=False)
@@ -70,6 +93,48 @@ class FinCategory:
         if f[1] != g[0]:
             raise ValueError("morphisms are not composable")
         return self.compose_fn(g, f)
+
+    def _numbering(self) -> tuple:
+        num = self.memo.get("numbering")
+        if num is None:
+            arrows = tuple(self.all_morphisms())
+            ids = {m: i for i, m in enumerate(arrows)}
+            start = dict(zip(self.homs, accumulate(
+                (len(ms) for ms in self.homs.values()), initial=0)))
+            num = self.memo["numbering"] = (arrows, ids, start)
+            self.memo["compose_table"] = {}  # (g, x) -> post_ids(g, x)
+        return num
+
+    def arrows(self) -> tuple:
+        """Every arrow, indexed by its id."""
+        return self._numbering()[0]
+
+    def arrow_id(self, m) -> int:
+        return self._numbering()[1][m]
+
+    def hom_start(self, x, y) -> int:
+        """Id of the first arrow of hom(x, y)."""
+        return self._numbering()[2].get((x, y), 0)
+
+    def post_ids(self, g: int, x) -> tuple:
+        """Ids of g o f for f in hom(x, source of g), in hom order: the
+        row of the composition table for arrow id g at source x."""
+        arrows, ids, _ = self._numbering()
+        table = self.memo["compose_table"]
+        row = table.get((g, x))
+        if row is None:
+            gm = arrows[g]
+            row = table[(g, x)] = tuple(
+                ids[self.compose(gm, f)] for f in self.hom(x, gm[0]))
+        return row
+
+    def compose_id(self, g: int, f: int) -> int:
+        """Id of g o f, for arrow ids g and f."""
+        arrows, _, start = self._numbering()
+        x, y = arrows[f][0], arrows[f][1]
+        if y != arrows[g][0]:
+            raise ValueError("morphisms are not composable")
+        return self.post_ids(g, x)[f - start[(x, y)]]
 
     def all_morphisms(self):
         for ms in self.homs.values():

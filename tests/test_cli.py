@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -210,3 +212,39 @@ def test_rand_spec_defaults_to_run_seed():
     b = main(["ext", "--base", "delta:2", "--source", "rand:3", "--target",
               "const:1", "--degrees", "0..0", "--field", "fp:101"])
     assert a == 0 and b == 0
+
+
+def test_build_base_keeps_one_base_per_hint(tmp_path):
+    for hint in ("gamma:2", "delta:3", "tw:com:2", "tw:ass:2", "empty"):
+        assert ser.build_base(hint) is ser.build_base(hint)
+    assert ser.build_base("gamma:2") is not ser.build_base("gamma:3")
+    # a dump reloads as the cached base once its hom sets compare equal
+    out = tmp_path / "tw2.json"
+    assert main(["tw", "build", "--operad", "com", "--max-arity", "2",
+                 "--out", str(out)]) == 0
+    assert ser.load(out) is ser.build_base("tw:com:2")
+
+
+_SERVED_TWICE = [
+    ["ext", "--base", "tw:ass:2", "--source", "yon:1", "--target", "rand:5",
+     "--degrees", "0..2", "--field", "fp:101"],
+    ["ext", "--base", "gamma:2", "--source", "t", "--target", "t",
+     "--degrees", "0..2"],
+    ["qcohom", "--operad", "ass", "--coeff", "rand:7", "--degrees=-1..1",
+     "--max-arity", "2", "--field", "fp:101"],
+    ["ass", "les-check", "--trunc", "2", "--top-degree", "2", "--trials", "1",
+     "--seed", "3", "--field", "fp:101"],
+]
+
+
+@pytest.mark.parametrize("argv", _SERVED_TWICE, ids=lambda a: a[0])
+def test_requests_served_twice_match_a_fresh_process(argv, tmp_path):
+    # the second in-process run reuses the bases and tables of the first
+    fresh = tmp_path / "fresh.json"
+    proc = subprocess.run([sys.executable, "-m", "optwist.cli", *argv,
+                           "--out", str(fresh)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("first", "second"):
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()

@@ -13,6 +13,7 @@ from optwist.qcohom import (
     LinearFunctor,
     Resolution,
     ResolutionError,
+    _Echelon,
     _action_closure,
     _apply,
     _generating_morphisms,
@@ -34,6 +35,7 @@ from optwist.qcohom import (
     f_operad,
     gamma_category,
     gamma_t,
+    generating_ids,
     generating_morphisms,
     hom_solver,
     les_check_ass,
@@ -667,3 +669,80 @@ def test_stable_cohomotopy_flags():
     assert rep["stable_flag"] == [True, True, True]
     assert rep["columns"][2] == [1, 0, 0]
     assert "convergence" not in rep["note"] or "not" in rep["note"]
+
+
+@pytest.mark.parametrize("p", [0, 101])
+def test_wrong_table_entry_rejects_a_true_functor(p):
+    # a fresh base: the planted entry must not reach build_base's cache
+    base = gamma_category(2)
+    T = gamma_t(2, p, base)
+    LinearFunctor(base, p, T.dims, T.mats)
+    arrows, table = base.arrows(), base.memo["compose_table"]
+    g, x, j, wrong = next(
+        (g, x, j, wrong)
+        for g in generating_ids(base)
+        for x in base.objects
+        for j, gf in enumerate(base.post_ids(g, x))
+        for wrong in range(base.hom_start(x, arrows[g][1]),
+                           base.hom_start(x, arrows[g][1])
+                           + len(base.hom(x, arrows[g][1])))
+        if T.mats[arrows[wrong]] != T.mats[arrows[gf]]
+    )
+    row = table[(g, x)]
+    table[(g, x)] = row[:j] + (wrong,) + row[j + 1:]
+    assert base.compose_id(g, base.hom_start(x, arrows[g][0]) + j) == wrong
+    with pytest.raises(ValueError, match="functoriality fails"):
+        LinearFunctor(base, p, T.dims, T.mats)
+
+
+def test_ext_and_hom_solver_refuse_mismatched_bases():
+    M = gamma_t(2, 101)
+    F = constant_functor(delta_category(2), 101)
+    assert M.base.objects == F.base.objects
+    for backend in ("cover", "bar", "co-cover"):
+        with pytest.raises(ValueError, match="different bases"):
+            ext(M, F, 1, backend=backend)
+    with pytest.raises(ValueError, match="different bases"):
+        hom_solver(M, F)
+    # two builds of one base are the same base
+    T = gamma_t(2, 101)
+    assert T.base is not M.base
+    assert ext(M, T, 1) == [1, 0]
+    assert hom_solver(M, T) == 1
+
+
+def _residue_converting(ech, vec):
+    """The rational residue with every coordinate made a Fraction first,
+    as ``_Echelon.residue`` once computed it."""
+    arr = [Fraction(v) for v in vec]
+    for c, support in ech.rows:
+        f = arr[c]
+        if f:
+            for j, b in support:
+                arr[j] -= f * b
+    return arr
+
+
+def test_rational_residue_matches_converting_oracle():
+    rng = random.Random(7)
+
+    def vector(dim, rational):
+        if rational:
+            return [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+                    for _ in range(dim)]
+        return [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dim)]
+
+    checked = 0
+    for _ in range(200):
+        dim = rng.randrange(1, 8)
+        ech = _Echelon(dim, 0)
+        for _ in range(rng.randrange(dim + 1)):
+            ech.insert(vector(dim, rng.random() < 0.5))
+        for rational in (False, True):
+            vec = vector(dim, rational)
+            got = ech.residue(vec)
+            assert got == _residue_converting(ech, vec)
+            assert all(isinstance(v, (int, Fraction)) for v in got)
+            assert ech.contains(vec) == (not any(_residue_converting(ech, vec)))
+            checked += 1
+    assert checked == 400

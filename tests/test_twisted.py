@@ -6,11 +6,14 @@ import pytest
 from optwist.encodings import act, enumerate_ib, ib_compose, ib_identity, mono_seq
 from optwist.operads import FreeReducedOperad, ass, com, identity_values, perms
 from optwist.pointed import PointedMap, enumerate_pointed_maps
+from optwist.qcohom import gamma_category, op_category
+from optwist.serialize import build_base
 from optwist.twisted import (
     CertificationError,
     FinCategory,
     SetFunctor,
     _check_composite_shapes,
+    act_functor,
     _has_inverse_in,
     certify_tw_ass,
     certify_tw_com,
@@ -298,3 +301,39 @@ def test_ib_category_hom_sizes_com():
     for n in range(4):
         for m in range(4):
             assert len(C.hom(n, m)) == (n + 1) ** m
+
+
+# -- arrow numbering and the composition table ----------------------------
+
+
+def _numbered_base(name):
+    if name == "op:gamma:2":
+        return op_category(gamma_category(2))
+    if name == "groth:com:2":
+        C = ib_category(com(), 2)
+        return grothendieck(C, act_functor(com(), C))
+    return build_base(name)
+
+
+@pytest.mark.parametrize("name", [
+    "gamma:2", "gamma:3", "delta:2", "delta:3", "tw:com:2", "tw:com:3",
+    "tw:ass:2", "op:gamma:2", "groth:com:2",
+])
+def test_compose_id_matches_compose_fn(name):
+    C = _numbered_base(name)
+    arrows = C.arrows()
+    assert arrows == tuple(C.all_morphisms())
+    for (x, y), ms in C.homs.items():
+        start = C.hom_start(x, y)
+        assert arrows[start:start + len(ms)] == ms
+        assert [C.arrow_id(m) for m in ms] == list(range(start, start + len(ms)))
+    into = {}
+    for f, m in enumerate(arrows):
+        into.setdefault(m[1], []).append(f)
+    for g, gm in enumerate(arrows):
+        for f in into.get(gm[0], ()):
+            assert arrows[C.compose_id(g, f)] == C.compose_fn(gm, arrows[f])
+    g, f = next((g, f) for g in range(len(arrows)) for f in range(len(arrows))
+                if arrows[f][1] != arrows[g][0])
+    with pytest.raises(ValueError, match="not composable"):
+        C.compose_id(g, f)
