@@ -125,12 +125,20 @@ def _emit(cfg: RunConfig, kind: str, payload: dict, lines,
 
 # -- argument grammars -------------------------------------------------------
 
+# F_p keeps residues in int64 numpy arrays and forms products of two of
+# them before reducing, so p * p must fit: p < 2^31 gives p * p < 2^62.
+# The bound also caps the trial division below at sqrt(p) < 46341.
+MAX_PRIME = 1 << 31
+
+
 def parse_field(text: str) -> int:
     if text == "q":
         return 0
     m = re.fullmatch(r"fp:(\d+)", text)
     if m:
         p = int(m.group(1))
+        if p >= MAX_PRIME:
+            raise UsageError(f"fp:{p} is too large; the prime must be below 2^31")
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise UsageError(f"{p} is not prime")
         return p
@@ -446,6 +454,9 @@ def cmd_ass_les_check(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+FIELD_HELP = "q | fp:P, P a prime below 2^31 (default q)"
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process (building it costs a few
@@ -515,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "file:PATH")
     ex.add_argument("--target", required=True)
     ex.add_argument("--degrees", required=True, metavar="a..b")
-    ex.add_argument("--field", default="q", help="q | fp:P (default q)")
+    ex.add_argument("--field", default="q", help=FIELD_HELP)
     ex.add_argument("--backend", default="cover",
                     choices=["cover", "bar", "bar-raw", "co-cover", "both"])
     ex.set_defaults(handler=cmd_ext)
@@ -527,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="const:D | t | yon:X | rand:S")
     qc.add_argument("--degrees", required=True, metavar="a..b")
     qc.add_argument("--max-arity", type=int, required=True)
-    qc.add_argument("--field", default="q")
+    qc.add_argument("--field", default="q", help=FIELD_HELP)
     qc.add_argument("--backend", default="co-cover",
                     choices=["cover", "bar", "bar-raw", "co-cover"])
     qc.set_defaults(handler=cmd_qcohom)
@@ -540,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="t | const:D | yon:X | rand:S")
     gt.add_argument("--trunc", type=int, required=True)
     gt.add_argument("--degrees", required=True, metavar="a..b")
-    gt.add_argument("--field", default="q")
+    gt.add_argument("--field", default="q", help=FIELD_HELP)
     gt.add_argument("--backend", default="bar",
                     choices=["cover", "bar", "bar-raw", "co-cover", "both"])
     gt.set_defaults(handler=cmd_gamma_ext_t)
@@ -552,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     al.add_argument("--trunc", type=int, required=True)
     al.add_argument("--top-degree", type=int, required=True)
     al.add_argument("--trials", type=int, default=5)
-    al.add_argument("--field", default="fp:101", help="fp:P (prime only)")
+    al.add_argument("--field", default="fp:101",
+                    help="fp:P, P a prime below 2^31 (default fp:101)")
     al.set_defaults(handler=cmd_ass_les_check)
 
     return parser

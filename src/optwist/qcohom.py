@@ -135,7 +135,18 @@ class LinearFunctor:
     composition.  Every functor goes through this check except the sums
     of representables built by ``_representables``, whose docstring
     carries the proof that stands in for it.
+
+    Two attributes feed ``cover_resolution`` and never change an answer.
+    ``generators`` lists (object, vector) pairs known to generate the
+    functor; ``_representables`` sets them and stage 0 offers them
+    first, but the cover never relies on them (see ``_greedy_cover``).
+    ``kept`` is the cover resolution a functor shared per base keeps
+    (see ``_shared``), else None.  A functor is never changed after
+    construction; only its kept resolution grows, by whole stages.
     """
+
+    generators: tuple = ()
+    kept: Resolution | None = None
 
     def __init__(self, base, p, dims, mats, name=""):
         self.base = base
@@ -182,24 +193,54 @@ def _pointed_pullback(phi: PointedMap, p: int) -> FinMatrix:
     return FinMatrix(phi.n, phi.m, entries, p)
 
 
+def _shared(base: FinCategory, key: tuple, build) -> LinearFunctor:
+    """The functor ``build()`` returns, built and checked once per key
+    on this base and kept in ``base.memo`` with an empty cover
+    resolution, which ``cover_resolution`` extends on demand.
+
+    Sharing is safe for the reason sharing the base is: the functor is
+    fixed by the base, the key and the field, and nothing changes it
+    after construction.  Its kept resolution only ever gains whole,
+    certified stages, each a function of the stages before it, so its
+    first K+2 terms are those a fresh build of that length would have,
+    whatever earlier requests asked for."""
+    F = base.memo.get(key)
+    if F is None:
+        F = build()
+        F.kept = Resolution(base, F.p, F, [], [], [], backend="cover")
+        base.memo[key] = F
+    return F
+
+
 def gamma_t(N: int, p: int = 0, base=None) -> LinearFunctor:
-    """<m> |-> k^m with coordinates pulled back along pointed maps."""
+    """<m> |-> k^m with coordinates pulled back along pointed maps;
+    one shared functor per (base, p) (see ``_shared``)."""
     if base is None:
         base = gamma_category(N)
-    dims = {n: n for n in base.objects}
-    mats = {m: _pointed_pullback(m[2], p) for m in base.all_morphisms()}
-    return LinearFunctor(base, p, dims, mats, name=f"t(N={N})")
+
+    def build():
+        dims = {n: n for n in base.objects}
+        mats = {m: _pointed_pullback(m[2], p) for m in base.all_morphisms()}
+        return LinearFunctor(base, p, dims, mats, name=f"t(N={N})")
+
+    return _shared(base, ("gamma_t", N, p), build)
 
 
 def f_operad(P: DiscreteOperad, N: int, p: int = 0, base=None) -> LinearFunctor:
     """Arity functor on the twisted arrow category: an operation of
     arity m goes to k^m and an arrow acts through its underlying
-    shape.  Arity-0 operations carry the zero space."""
+    shape.  Arity-0 operations carry the zero space.  One shared
+    functor per (base, operad, p) (see ``_shared``)."""
     if base is None:
         base = tw_category(P, N)
-    dims = {obj: obj[0] for obj in base.objects}
-    mats = {m: _pointed_pullback(m[2].f, p) for m in base.all_morphisms()}
-    return LinearFunctor(base, p, dims, mats, name=f"f_{type(P).__name__}(N={N})")
+    name = f"f_{type(P).__name__}(N={N})"
+
+    def build():
+        dims = {obj: obj[0] for obj in base.objects}
+        mats = {m: _pointed_pullback(m[2].f, p) for m in base.all_morphisms()}
+        return LinearFunctor(base, p, dims, mats, name=name)
+
+    return _shared(base, ("f_operad", name, p), build)
 
 
 def eta_shriek(N: int, p: int = 0, base=None) -> LinearFunctor:
@@ -210,33 +251,46 @@ def eta_shriek(N: int, p: int = 0, base=None) -> LinearFunctor:
     ``_representables``): Hom([0], [n]) lists the maps 0 |-> i in the
     order i = 0..n, and g o (0 |-> i) = (0 |-> g(i)), so the matrix of
     g is the closed form {(g(i), i): 1}; a test checks that closed form
-    and runs the constructor's check on the result."""
+    and runs the constructor's check on the result.  One shared functor
+    per (base, p) (see ``_shared``)."""
     if base is None:
         base = delta_category(N)
-    return _representables(base, (0,), p, f"eta!k(N={N})")
+    return _shared(base, ("eta_shriek", N, p),
+                   lambda: _representables(base, (0,), p, f"eta!k(N={N})"))
 
 
 def f_ass_delta(N: int, p: int = 0, base=None) -> LinearFunctor:
     """[n] |-> k^n as the kernel of the vertex-sum map off eta_shriek,
     written in the difference basis e_{i-1} - e_i: basis element i
-    spreads over the gap (g(i-1), g(i)]."""
+    spreads over the gap (g(i-1), g(i)].  One shared functor per
+    (base, p) (see ``_shared``)."""
     if base is None:
         base = delta_category(N)
-    dims = {n: n for n in base.objects}
-    mats = {}
-    for m in base.all_morphisms():
-        g = m[2]
-        entries = {}
-        for i in range(1, m[0] + 1):
-            for j in range(g(i - 1) + 1, g(i) + 1):
-                entries[(j - 1, i - 1)] = 1
-        mats[m] = FinMatrix(m[1], m[0], entries, p)
-    return LinearFunctor(base, p, dims, mats, name=f"f_ass(N={N})")
+
+    def build():
+        dims = {n: n for n in base.objects}
+        mats = {}
+        for m in base.all_morphisms():
+            g = m[2]
+            entries = {}
+            for i in range(1, m[0] + 1):
+                for j in range(g(i - 1) + 1, g(i) + 1):
+                    entries[(j - 1, i - 1)] = 1
+            mats[m] = FinMatrix(m[1], m[0], entries, p)
+        return LinearFunctor(base, p, dims, mats, name=f"f_ass(N={N})")
+
+    return _shared(base, ("f_ass_delta", N, p), build)
 
 
 def constant_functor(base: FinCategory, p: int = 0, dim: int = 1) -> LinearFunctor:
-    mats = {m: FinMatrix.identity(dim, p) for m in base.all_morphisms()}
-    return LinearFunctor(base, p, {x: dim for x in base.objects}, mats, name="const")
+    """k^dim everywhere, every arrow the identity; one shared functor
+    per (base, p, dim) (see ``_shared``)."""
+
+    def build():
+        mats = {m: FinMatrix.identity(dim, p) for m in base.all_morphisms()}
+        return LinearFunctor(base, p, {x: dim for x in base.objects}, mats, name="const")
+
+    return _shared(base, ("const", dim, p), build)
 
 
 def op_category(base: FinCategory) -> FinCategory:
@@ -299,6 +353,12 @@ def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFu
     to id o h = h, and the shapes hold by construction.  Checking them
     anyway, mostly rational matrix products, added about 2 s to a 3 s
     stream of rational Ext requests on a 2-core machine.
+
+    Block i is generated by its identity coordinate: by Yoneda every
+    basis arrow h: x_i -> y is F(h)(id_{x_i}), since h o id = h.  Those
+    r coordinates are recorded as ``generators``, so ``cover_resolution``
+    resolves the sum by R_0 = the r blocks with zero kernels, its
+    minimal projective resolution.
     """
     sizes = {(x, y): len(base.hom(x, y)) for x in set(xs) for y in base.objects}
     dims = {y: sum(sizes[(x, y)] for x in xs) for y in base.objects}
@@ -313,8 +373,15 @@ def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFu
             ro += sizes[(x, m[1])]
             co += sizes[(x, m[0])]
         mats[m] = FinMatrix(dims[m[1]], dims[m[0]], entries, p)
+    gens = []
+    for i, x in enumerate(xs):
+        vec = [0] * dims[x]
+        vec[sum(sizes[(w, x)] for w in xs[:i])
+            + base.arrow_id(base.identity(x)) - base.hom_start(x, x)] = 1
+        gens.append((x, vec))
     F = object.__new__(LinearFunctor)
     F.base, F.p, F.dims, F.mats, F.name = base, p, dims, mats, name
+    F.generators = tuple(gens)
     return F
 
 
@@ -648,11 +715,15 @@ class Resolution:
                 )
         return report
 
-    def hom_cochain(self, F: LinearFunctor) -> CochainComplex:
-        """Hom(R_., F) in Yoneda coordinates (see ``_hom_block``)."""
-        dims = [sum(F.dims[x] for x in term) for term in self.terms]
-        mats = [_hom_block(F, self.terms[k], self.terms[k - 1], self.diffs[k])
-                for k in range(1, len(self.terms))]
+    def hom_cochain(self, F: LinearFunctor, length: int | None = None) -> CochainComplex:
+        """Hom(R_0..R_length, F) in Yoneda coordinates (see
+        ``_hom_block``), every term when length is None.  Reading only
+        the terms asked for keeps an answer independent of how far a
+        kept resolution has grown."""
+        terms = self.terms if length is None else self.terms[: length + 1]
+        dims = [sum(F.dims[x] for x in term) for term in terms]
+        mats = [_hom_block(F, terms[k], terms[k - 1], self.diffs[k])
+                for k in range(1, len(terms))]
         return CochainComplex(dims, mats, self.p)
 
 
@@ -680,50 +751,78 @@ def _hom_block(F: LinearFunctor, rows: tuple, cols: tuple, images: list) -> FinM
 def cover_resolution(M: LinearFunctor, length: int) -> Resolution:
     """Greedy representable-cover resolution with terms R_0..R_length.
 
-    Stage 0 covers M; stage k+1 covers the kernel of the realized d_k.
-    Generators are chosen per object in canonical order and only when
-    the pushforwards of earlier generators miss a direction, so the
-    terms stay small.  Exactness at every interior slot is verified by
-    rank bookkeeping as part of the build, not trusted.
+    Stage 0 covers M, offering M's ``generators`` before the unit
+    vectors (see ``_greedy_cover``); stage k+1 covers the kernel of the
+    realized d_k.  Generators are chosen per object in canonical order
+    and only when the pushforwards of earlier generators miss a
+    direction, so the terms stay small, and a sum of representables
+    resolves as itself.  Exactness at every interior slot is verified
+    by rank bookkeeping as part of the build, not trusted.
+
+    A functor shared per base (``_shared``) keeps its resolution: the
+    call extends ``M.kept`` to at least ``length`` and returns it, so
+    it may be longer than asked; readers take the terms they need (see
+    ``Resolution.hom_cochain``).  A stage joins the kept resolution
+    only once certified, and the caches that only a build reads are
+    dropped below the last stage.  Any other functor gets a fresh
+    resolution of exactly ``length``.
     """
-    base = M.base
-    res = Resolution(base, M.p, M, [], [], [], backend="cover")
-
-    gens0 = _greedy_cover(res, -1, lambda y: _unit_vectors(M.dims[y]))
-    res.terms.append(tuple(x for x, _ in gens0))
-    res.diffs.append(None)
-    res.aug = [list(v) for _, v in gens0]
-
-    for k in range(1, length + 1):
-        kernels = {}
-        for y in base.objects:
-            mat = res.realize(k - 1, y)
-            kb = mat.kernel_basis()
-            kernels[y] = kb
-            res.exactness[(k - 1, y)] = {
-                "dim": mat.ncols,
-                "rank_out": mat.ncols - kb.ncols,
-                "kernel": kb.ncols,
-            }
-
-        gens = _greedy_cover(
-            res, k - 1,
-            lambda y: [kernels[y].column(j) for j in range(kernels[y].ncols)],
-        )
-        res.terms.append(tuple(x for x, _ in gens))
-        res.diffs.append([_expansion(res.term_basis(k - 1, x), vec) for x, vec in gens])
-
-        # certify the greedy step: d^2 = 0 and the image really is the
-        # kernel, object by object
-        for y in base.objects:
-            dk = res.realize(k, y)
-            if not (res.realize(k - 1, y) @ dk).is_zero():
-                raise ResolutionError(f"d^2 != 0 at stage {k}, object {y!r}")
-            rk = dk.rank()
-            if rk != kernels[y].ncols:
-                raise ResolutionError(f"cover misses the kernel at stage {k}, object {y!r}")
-            res.exactness[(k - 1, y)]["rank_in"] = rk
+    res = M.kept
+    if res is None:
+        res = Resolution(M.base, M.p, M, [], [], [], backend="cover")
+    if not res.terms:
+        gens0 = _greedy_cover(res, -1, lambda y: _unit_vectors(M.dims[y]),
+                              M.generators)
+        res.terms.append(tuple(x for x, _ in gens0))
+        res.diffs.append(None)
+        res.aug = [list(v) for _, v in gens0]
+    for k in range(len(res.terms), length + 1):
+        try:
+            _cover_stage(res, k)
+        except BaseException:
+            del res.terms[k:], res.diffs[k:]
+            res._rd, res._tb, res._push_idx = {}, {}, {}
+            raise
+    if res is M.kept:
+        last = len(res.terms) - 1
+        res._rd = {key: m for key, m in res._rd.items() if key[0] == last}
+        res._tb = {key: b for key, b in res._tb.items() if key[0] == last}
+        res._push_idx = {}
     return res
+
+
+def _cover_stage(res: Resolution, k: int) -> None:
+    """Append R_k, covering the kernel of d_{k-1}, and certify it."""
+    base = res.base
+    kernels, exactness = {}, {}
+    for y in base.objects:
+        mat = res.realize(k - 1, y)
+        kb = mat.kernel_basis()
+        kernels[y] = kb
+        exactness[(k - 1, y)] = {
+            "dim": mat.ncols,
+            "rank_out": mat.ncols - kb.ncols,
+            "kernel": kb.ncols,
+        }
+
+    gens = _greedy_cover(
+        res, k - 1,
+        lambda y: [kernels[y].column(j) for j in range(kernels[y].ncols)],
+    )
+    res.terms.append(tuple(x for x, _ in gens))
+    res.diffs.append([_expansion(res.term_basis(k - 1, x), vec) for x, vec in gens])
+
+    # certify the greedy step: d^2 = 0 and the image really is the
+    # kernel, object by object
+    for y in base.objects:
+        dk = res.realize(k, y)
+        if not (res.realize(k - 1, y) @ dk).is_zero():
+            raise ResolutionError(f"d^2 != 0 at stage {k}, object {y!r}")
+        rk = dk.rank()
+        if rk != kernels[y].ncols:
+            raise ResolutionError(f"cover misses the kernel at stage {k}, object {y!r}")
+        exactness[(k - 1, y)]["rank_in"] = rk
+    res.exactness.update(exactness)
 
 
 def _unit_vectors(dim: int) -> list:
@@ -735,22 +834,38 @@ def _unit_vectors(dim: int) -> list:
     return out
 
 
-def _greedy_cover(res: Resolution, k: int, targets_fn) -> list:
+def _greedy_cover(res: Resolution, k: int, targets_fn, seeds=()) -> list:
     """Choose generators (x, vec) in T_k(x) so that the pushforwards
     (``res.push``) of all chosen generators span, at every object, the
-    span of that object's target vectors.  One pass in canonical object
-    order suffices: later generators only enlarge earlier spans."""
+    span of that object's target vectors.
+
+    The seeds are offered first, then every target in canonical object
+    order; an offered vector becomes a generator when the spans so far
+    miss it, and its pushforwards along every arrow out of its object,
+    the identity included, join the spans.  So every target ends inside
+    the span at its object whatever the seeds are, since spans only
+    grow: coverage never rests on the seeds.  A wrong seed only leaves
+    the walk more to add, so it costs generators, not correctness, and
+    the build certifies every stage by ranks regardless.  Seeds that do
+    generate (the identity coordinates of a sum of representables)
+    leave the walk nothing to add.
+    """
     base = res.base
     spans = {y: _Echelon(res.term_dim(k, y), res.p) for y in base.objects}
     gens = []
-    for x in base.objects:
-        for t in targets_fn(x):
-            if spans[x].contains(t):
-                continue
+
+    def offer(x, t):
+        if not spans[x].contains(t):
             gens.append((x, list(t)))
             for y in base.objects:
                 for f in base.hom(x, y):
                     spans[y].insert(res.push(k, f, t))
+
+    for x, t in seeds:
+        offer(x, t)
+    for x in base.objects:
+        for t in targets_fn(x):
+            offer(x, t)
     return gens
 
 
@@ -869,7 +984,7 @@ def ext(M: LinearFunctor, F: LinearFunctor, K: int, backend: str = "cover",
     res = resolution if resolution is not None else build_resolution(M, K + 1, backend)
     if len(res.terms) < K + 2:
         raise ValueError("resolution too short for the requested degree")
-    return res.hom_cochain(F).cohomology_dims()[: K + 1]
+    return res.hom_cochain(F, K + 1).cohomology_dims()[: K + 1]
 
 
 def _check_same_base(M: LinearFunctor, F: LinearFunctor) -> None:
@@ -1091,16 +1206,17 @@ def ses_maps_ass(N: int, p: int = 0, base=None):
     return A, B, C, rho, pi
 
 
-def _horseshoe(resA: Resolution, resC: Resolution, rho, pi, B: LinearFunctor) -> list:
+def _horseshoe(resA: Resolution, resC: Resolution, rho, pi, B: LinearFunctor,
+               top: int) -> list:
     """Correction maps lam[k]: R^C_k -> T_{k-1} (T_0 = B, T_k = R^A_{k-1}
-    above) making R^A (+) R^C a resolution of the middle term: lam[0]
-    lifts the C-augmentation through pi, and d^A lam[k] = -lam[k-1] d^C
-    is solved generator by generator, with d^A into B read as rho after
-    the A-augmentation.  Solvability is exactness of the A side, so a
-    failed solve is an error."""
+    above), k = 0..top, making R^A (+) R^C a resolution of the middle
+    term through stage top: lam[0] lifts the C-augmentation through pi,
+    and d^A lam[k] = -lam[k-1] d^C is solved generator by generator,
+    with d^A into B read as rho after the A-augmentation.  Solvability
+    is exactness of the A side, so a failed solve is an error.  Both
+    resolutions may be kept ones longer than top (see
+    ``cover_resolution``); nothing past stage top is read."""
     p = resA.p
-    top = len(resA.terms) - 1
-
     lam0 = []
     for i, x in enumerate(resC.terms[0]):
         rhs = FinMatrix.from_columns([resC.aug[i]], 1, p)
@@ -1171,7 +1287,7 @@ def _les_infrastructure(N: int, p: int, L: int, base):
         resA = cover_resolution(A, L)
         resC = cover_resolution(C, L)
         resB = cover_resolution(B, L)
-        lam = _horseshoe(resA, resC, rho, pi, B)
+        lam = _horseshoe(resA, resC, rho, pi, B, L)
         lam_exp = [None] + [
             [_expansion(resA.term_basis(k - 1, x), lam[k][j])
              for j, x in enumerate(resC.terms[k])]
@@ -1221,8 +1337,8 @@ def les_check_ass(N: int, F: LinearFunctor, K: int) -> dict:
     report["middle_vanishes"] = all(d == 0 for d in extB[1:])
     report["hom_middle_is_F0"] = extB[0] == F.dims[0]
 
-    XA = resA.hom_cochain(F)
-    XC = resC.hom_cochain(F)
+    XA = resA.hom_cochain(F, L)
+    XC = resC.hom_cochain(F, L)
     lam_mats = [None] + [_hom_block(F, resC.terms[k], resA.terms[k - 1], lam[k])
                          for k in range(1, L + 1)]
 

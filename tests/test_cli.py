@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -166,6 +167,27 @@ def test_ext_usage_errors():
                  "--degrees", "0..1", "--field", "fp:10"]) == 2
 
 
+@pytest.mark.parametrize("target", ["t", "rand:7"])
+def test_primes_past_2_31_are_refused_up_front(target, capsys):
+    # residue products must fit an int64: 2^32 + 15 overflowed them and
+    # 2^63 - 25 hung in trial division
+    argv = ["ext", "--base", "gamma:3", "--source", "t", "--target", target,
+            "--degrees", "0..3", "--field"]
+    for p in (4294967311, 9223372036854775783):
+        start = time.perf_counter()
+        assert main(argv + [f"fp:{p}"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "below 2^31" in capsys.readouterr().err
+
+
+def test_largest_admitted_prime_still_computes(tmp_path):
+    out = tmp_path / "e.json"
+    assert main(["ext", "--base", "gamma:3", "--source", "t", "--target", "t",
+                 "--degrees", "0..3", "--field", "fp:2147483647",
+                 "--out", str(out)]) == 0
+    assert read_json(out)["payload"]["dims"] == {"0": 1, "1": 0, "2": 0, "3": 0}
+
+
 def test_qcohom_table_with_negative_degree(tmp_path):
     out = tmp_path / "q.json"
     assert main(["qcohom", "--operad", "ass", "--coeff", "const:1",
@@ -234,16 +256,28 @@ _SERVED_TWICE = [
      "--max-arity", "2", "--field", "fp:101"],
     ["ass", "les-check", "--trunc", "2", "--top-degree", "2", "--trials", "1",
      "--seed", "3", "--field", "fp:101"],
+    ["ext", "--base", "gamma:3", "--source", "yon:2", "--target", "t",
+     "--degrees", "0..3"],
+    ["ext", "--base", "delta:3", "--source", "yon:1", "--target", "fass",
+     "--degrees", "0..3", "--field", "fp:101"],
+    ["ext", "--base", "delta:3", "--source", "fass", "--target", "fass",
+     "--degrees", "0..1"],
 ]
 
 
 @pytest.mark.parametrize("argv", _SERVED_TWICE, ids=lambda a: a[0])
 def test_requests_served_twice_match_a_fresh_process(argv, tmp_path):
-    # the second in-process run reuses the bases and tables of the first
+    # the second in-process run reuses the bases, tables and shared
+    # functors of the first; before both, the same request to a higher
+    # degree grows the kept resolutions past what the request reads
     fresh = tmp_path / "fresh.json"
     proc = subprocess.run([sys.executable, "-m", "optwist.cli", *argv,
                            "--out", str(fresh)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    if "--degrees" in argv:
+        i = argv.index("--degrees") + 1
+        a, b = argv[i].split("..")
+        assert main(argv[:i] + [f"{a}..{int(b) + 2}"] + argv[i + 1:]) == 0
     for name in ("first", "second"):
         out = tmp_path / f"{name}.json"
         assert main(argv + ["--out", str(out)]) == 0

@@ -746,3 +746,123 @@ def test_rational_residue_matches_converting_oracle():
             assert ech.contains(vec) == (not any(_residue_converting(ech, vec)))
             checked += 1
     assert checked == 400
+
+
+# -- seeded covers and shared functors ----------------------------------------
+
+
+def _seed_bases():
+    return [build_base("gamma:3"), build_base("delta:3"), build_base("tw:com:2"),
+            build_base("tw:ass:2"), op_category(build_base("gamma:2"))]
+
+
+@pytest.mark.parametrize("p", [0, 101])
+def test_sums_of_representables_resolve_as_themselves(p):
+    # the identity coordinates seed stage 0, so R_0 is the blocks, the
+    # kernels vanish, and Ext is Yoneda's: F at the blocks, then zeros
+    for base in _seed_bases():
+        objs = base.objects
+        targets = (constant_functor(base, p), representable(base, objs[-1], p))
+        for xs in [(x,) for x in objs] + [(objs[-1], objs[0])]:
+            R = _representables(base, xs, p, "sum")
+            res = cover_resolution(R, 3)
+            assert res.terms == [xs, (), (), ()]
+            assert res.aug == [v for _, v in R.generators]
+            assert all(res.verify_exact(2).values())
+            for F in targets:
+                assert ext(R, F, 2) == [sum(F.dims[x] for x in xs), 0, 0]
+
+
+@pytest.mark.parametrize("p", [0, 101])
+def test_a_wrong_seed_costs_generators_not_answers(p):
+    # plant the coordinate of a non-identity endomorphism of [3] as the
+    # seed: it generates a proper subfunctor only, so the walk must add
+    # generators, and the resolution stays complete and exact
+    base = build_base("delta:3")
+    F = f_ass_delta(3, p, base)
+    R = representable(base, 3, p)
+    x, vec = R.generators[0]
+    wrong = [0] * len(vec)
+    wrong[(vec.index(1) + 1) % len(vec)] = 1
+    R.generators = ((x, wrong),)
+    res = cover_resolution(R, 4)
+    assert res.aug[0] == wrong
+    assert len(res.terms[0]) > 1 and any(res.terms[1:])
+    assert all(res.verify_exact(3).values())
+    assert ext(R, F, 3, resolution=res) == [F.dims[3], 0, 0, 0]
+
+
+def test_seeded_generator_count_is_pinned():
+    # yon:3 over delta:3 is one generator; the walk alone, ignoring the
+    # seed, takes 51, so a cover that drops its seeds fails this pin
+    base = build_base("delta:3")
+    R = representable(base, 3, 0)
+    assert [len(t) for t in cover_resolution(R, 4).terms] == [1, 0, 0, 0, 0]
+    R.generators = ()
+    assert [len(t) for t in cover_resolution(R, 4).terms] == [8, 19, 18, 6, 0]
+
+
+def test_named_functors_are_shared_per_base_and_field():
+    g3, d3, tc, ta = (build_base(h) for h in ("gamma:3", "delta:3", "tw:com:2", "tw:ass:2"))
+    makers = (
+        lambda p: gamma_t(3, p, g3),
+        lambda p: f_ass_delta(3, p, d3),
+        lambda p: eta_shriek(3, p, d3),
+        lambda p: constant_functor(d3, p, 1),
+        lambda p: f_operad(com(), 2, p, base=tc),
+        lambda p: f_operad(ass(), 2, p, base=ta),
+    )
+    for make in makers:
+        assert make(0) is make(0)
+        assert make(101) is make(101)
+        assert make(0) is not make(101)
+        assert (make(0).p, make(101).p) == (0, 101)
+        assert make(0).kept.M is make(0)
+    assert constant_functor(d3, 0, 1) is not constant_functor(d3, 0, 2)
+    # a fresh base shares nothing with the cached one
+    assert gamma_t(3, 0, gamma_category(3)) is not gamma_t(3, 0, g3)
+    # representables cost milliseconds and are not kept
+    assert representable(g3, 1, 0) is not representable(g3, 1, 0)
+    assert representable(g3, 1, 0).kept is None
+
+
+@pytest.mark.parametrize("p", [0, 101])
+def test_kept_resolution_answers_like_a_fresh_one(p):
+    # requests at K = 1, then 3, then 2 over one shared source: every
+    # answer and every term read equals a fresh per-call build
+    base = delta_category(3)
+    A = f_ass_delta(3, p, base)
+    fresh = LinearFunctor(base, p, A.dims, A.mats, name=A.name)
+    assert fresh.kept is None
+    targets = (A, constant_functor(base, p), random_functor(base, p, 4))
+    longest = 0
+    for K in (1, 3, 2):
+        for F in targets:
+            assert ext(A, F, K) == ext(fresh, F, K)
+        longest = max(longest, K + 2)
+        assert len(A.kept.terms) == longest
+        res = cover_resolution(fresh, K + 1)
+        assert A.kept.terms[: K + 2] == res.terms
+        assert A.kept.diffs[: K + 2] == res.diffs
+        assert A.kept.aug == res.aug
+    # only the last stage keeps its build caches
+    assert {k for k, _ in A.kept._rd} <= {longest - 1}
+    assert not A.kept._push_idx
+
+
+def test_a_failed_stage_leaves_the_kept_resolution_as_it_was(monkeypatch):
+    import optwist.qcohom as qc
+
+    base = gamma_category(2)
+    t = gamma_t(2, 101, base)
+    assert ext(t, t, 1) == [1, 0]
+    terms, diffs = list(t.kept.terms), list(t.kept.diffs)
+    # a cover that chooses nothing past stage 0 misses the kernel
+    real = qc._greedy_cover
+    monkeypatch.setattr(qc, "_greedy_cover",
+                        lambda res, k, fn, seeds=(): [] if k >= 1 else real(res, k, fn, seeds))
+    with pytest.raises(ResolutionError, match="misses the kernel"):
+        ext(t, t, 3)
+    assert t.kept.terms == terms and t.kept.diffs == diffs
+    monkeypatch.undo()
+    assert ext(t, t, 3) == [1, 0, 0, 0]
