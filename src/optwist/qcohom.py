@@ -10,6 +10,15 @@ oracle.  Hom of functors is also solved directly as a naturality
 linear system, which gives an Ext^0 oracle that shares no code with
 either resolution.
 
+Inside the engine an arrow is named by its id in the base's numbering
+(``FinCategory.arrows``): a functor keeps one matrix per arrow id, the
+Yoneda basis of a sum of representables is pairs (generator, arrow
+id), and bar chains are tuples of ids composed through the base's
+composition table.  Morphism triples enter only at the boundary:
+serialized dumps, ``transport_to_tw``, the coface and codegeneracy
+lookups of ``conormalized_cohomology``, and callers outside the engine,
+which look an arrow up by ``base.arrow_id``.
+
 By the Yoneda lemma a map out of k[Hom(x_1, -)] + ... is fixed by
 where its generators go, and every such map goes through one route:
 ``Resolution.push`` moves a vector along an arrow, ``Resolution.realize``
@@ -118,8 +127,8 @@ def codegeneracy(n: int, j: int):
 
 
 class LinearFunctor:
-    """Functor base -> Vect_k: a dimension per object, a matrix per
-    morphism triple.
+    """Functor base -> Vect_k: a dimension per object, and ``mats[i]``
+    the matrix of arrow id i, one per arrow in ``base.arrows()`` order.
 
     Functoriality is validated at construction; a violation is a hard
     error, not a warning.  The check covers identities and
@@ -152,14 +161,15 @@ class LinearFunctor:
         self.base = base
         self.p = p
         self.dims = dict(dims)
-        self.mats = dict(mats)
+        self.mats = tuple(mats)
         self.name = name
         self._validate()
 
     def _validate(self):
-        base, dims, p = self.base, self.dims, self.p
+        base, dims, p, mats = self.base, self.dims, self.p, self.mats
         arrows = base.arrows()
-        mats = [self.mats[m] for m in arrows]  # indexed by arrow id
+        if len(mats) != len(arrows):
+            raise ValueError(f"{len(mats)} matrices for {len(arrows)} arrows")
         for x in base.objects:
             if mats[base.arrow_id(base.identity(x))] != FinMatrix.identity(dims[x], p):
                 raise ValueError(f"identity at {x!r} is not an identity matrix")
@@ -174,9 +184,6 @@ class LinearFunctor:
                     if mats[gf] != mg @ mats[f]:
                         raise ValueError(
                             f"functoriality fails at {arrows[g]!r} o {arrows[f]!r}")
-
-    def at(self, x) -> int:
-        return self.dims[x]
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -220,7 +227,7 @@ def gamma_t(N: int, p: int = 0, base=None) -> LinearFunctor:
 
     def build():
         dims = {n: n for n in base.objects}
-        mats = {m: _pointed_pullback(m[2], p) for m in base.all_morphisms()}
+        mats = [_pointed_pullback(m[2], p) for m in base.arrows()]
         return LinearFunctor(base, p, dims, mats, name=f"t(N={N})")
 
     return _shared(base, ("gamma_t", N, p), build)
@@ -237,7 +244,7 @@ def f_operad(P: DiscreteOperad, N: int, p: int = 0, base=None) -> LinearFunctor:
 
     def build():
         dims = {obj: obj[0] for obj in base.objects}
-        mats = {m: _pointed_pullback(m[2].f, p) for m in base.all_morphisms()}
+        mats = [_pointed_pullback(m[2].f, p) for m in base.arrows()]
         return LinearFunctor(base, p, dims, mats, name=name)
 
     return _shared(base, ("f_operad", name, p), build)
@@ -269,14 +276,14 @@ def f_ass_delta(N: int, p: int = 0, base=None) -> LinearFunctor:
 
     def build():
         dims = {n: n for n in base.objects}
-        mats = {}
-        for m in base.all_morphisms():
+        mats = []
+        for m in base.arrows():
             g = m[2]
             entries = {}
             for i in range(1, m[0] + 1):
                 for j in range(g(i - 1) + 1, g(i) + 1):
                     entries[(j - 1, i - 1)] = 1
-            mats[m] = FinMatrix(m[1], m[0], entries, p)
+            mats.append(FinMatrix(m[1], m[0], entries, p))
         return LinearFunctor(base, p, dims, mats, name=f"f_ass(N={N})")
 
     return _shared(base, ("f_ass_delta", N, p), build)
@@ -287,7 +294,7 @@ def constant_functor(base: FinCategory, p: int = 0, dim: int = 1) -> LinearFunct
     per (base, p, dim) (see ``_shared``)."""
 
     def build():
-        mats = {m: FinMatrix.identity(dim, p) for m in base.all_morphisms()}
+        mats = (FinMatrix.identity(dim, p),) * len(base.arrows())
         return LinearFunctor(base, p, {x: dim for x in base.objects}, mats, name="const")
 
     return _shared(base, ("const", dim, p), build)
@@ -295,9 +302,11 @@ def constant_functor(base: FinCategory, p: int = 0, dim: int = 1) -> LinearFunct
 
 def op_category(base: FinCategory) -> FinCategory:
     """The opposite category; an arrow x -> y here carries the original
-    arrow y -> x as payload.  It is built once per base and kept in the
-    base's memo, so every request that dualizes over a base shares the
-    opposite's numbering and composition table as well."""
+    arrow y -> x as payload.  Its hom sets are the base's, in the base's
+    order, so op arrow id i carries base arrow id i.  It is built once
+    per base and kept in the base's memo, so every request that
+    dualizes over a base shares the opposite's numbering and
+    composition table as well."""
     op = base.memo.get("op")
     if op is not None:
         return op
@@ -316,12 +325,19 @@ def op_category(base: FinCategory) -> FinCategory:
 
 
 def dual_functor(F: LinearFunctor, opbase: FinCategory) -> LinearFunctor:
-    """Objectwise linear dual, a functor on the opposite category.
-    Transposition reverses composition, which is exactly what the
-    opposite needs; the result is still checked like any other functor,
-    on the generators of the opposite base."""
-    mats = {m: F.mats[m[2]].transpose() for m in opbase.all_morphisms()}
-    return LinearFunctor(opbase, F.p, dict(F.dims), mats, name=F.name + "^")
+    """Objectwise linear dual, a functor on the opposite category, whose
+    arrow id i is F's arrow id i (see ``op_category``).  Transposition
+    reverses composition, which is exactly what the opposite needs; the
+    result is still checked like any other functor, on the generators of
+    the opposite base.  The dual of a functor shared per base is itself
+    shared on the opposite, with its own kept resolution (see
+    ``_shared``); any other functor gets a fresh dual."""
+
+    def build():
+        mats = [m.transpose() for m in F.mats]
+        return LinearFunctor(opbase, F.p, F.dims, mats, name=F.name + "^")
+
+    return build() if F.kept is None else _shared(opbase, ("dual", F), build)
 
 
 def representable(base: FinCategory, x, p: int = 0) -> LinearFunctor:
@@ -337,8 +353,7 @@ def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFu
     The basis of block x at y is hom(x, y) in hom order, so the basis
     arrow with id h sits at position h - ``hom_start(x, y)``; the
     matrix of g has a 1 in row ``post_ids(g, x)[j] - hom_start(x, tgt)``
-    of column j, read off one table row per (g, x) with no lookup of a
-    composite by value.
+    of column j, read off one table row per (g, x).
 
     These are the only functors built without the check in
     ``LinearFunctor.__init__``, the way ``MonotoneMap.compose`` builds
@@ -362,7 +377,7 @@ def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFu
     """
     sizes = {(x, y): len(base.hom(x, y)) for x in set(xs) for y in base.objects}
     dims = {y: sum(sizes[(x, y)] for x in xs) for y in base.objects}
-    mats = {}
+    mats = []
     for g, m in enumerate(base.arrows()):
         entries = {}
         ro = co = 0
@@ -372,7 +387,7 @@ def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFu
                 entries[(ro + gf - start, co + j)] = 1
             ro += sizes[(x, m[1])]
             co += sizes[(x, m[0])]
-        mats[m] = FinMatrix(dims[m[1]], dims[m[0]], entries, p)
+        mats.append(FinMatrix(dims[m[1]], dims[m[0]], entries, p))
     gens = []
     for i, x in enumerate(xs):
         vec = [0] * dims[x]
@@ -380,7 +395,7 @@ def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFu
             + base.arrow_id(base.identity(x)) - base.hom_start(x, x)] = 1
         gens.append((x, vec))
     F = object.__new__(LinearFunctor)
-    F.base, F.p, F.dims, F.mats, F.name = base, p, dims, mats, name
+    F.base, F.p, F.dims, F.mats, F.name = base, p, dims, tuple(mats), name
     F.generators = tuple(gens)
     return F
 
@@ -392,9 +407,8 @@ def transport_to_tw(T: LinearFunctor, twbase: FinCategory) -> LinearFunctor:
     Tw certificate holds; the result is checked like any other functor,
     on the generators of the twisted base."""
     dims = {obj: T.dims[obj[0]] for obj in twbase.objects}
-    mats = {}
-    for m in twbase.all_morphisms():
-        mats[m] = T.mats[(m[0][0], m[1][0], m[2].f)]
+    mats = [T.mats[T.base.arrow_id((m[0][0], m[1][0], m[2].f))]
+            for m in twbase.arrows()]
     return LinearFunctor(twbase, T.p, dims, mats, name=T.name + "~tw")
 
 
@@ -452,16 +466,16 @@ def _action_closure(P: LinearFunctor, raw: list) -> dict:
     (see ``generating_morphisms``)."""
     p = P.p
     spans = {y: _Echelon(P.dims[y], p) for y in P.base.objects}
-    gens_from = {}
-    for g in generating_morphisms(P.base):
-        gens_from.setdefault(g[0], []).append(g)
+    arrows, gens_from = P.base.arrows(), {}
+    for g in generating_ids(P.base):
+        gens_from.setdefault(arrows[g][0], []).append(g)
     frontier = list(raw)
     while frontier:
         y, vec = frontier.pop()
         if not spans[y].insert(vec):
             continue
         for g in gens_from.get(y, ()):
-            frontier.append((g[1], _apply(P.mats[g], list(vec), p)))
+            frontier.append((arrows[g][1], _apply(P.mats[g], list(vec), p)))
     return spans
 
 
@@ -497,7 +511,7 @@ def _quotient_functor(P: LinearFunctor, sub: dict, name="") -> LinearFunctor:
         proj[y] = FinMatrix(len(free), n, entries, p)
         incl[y] = FinMatrix(n, len(free), {(j, a): 1 for a, j in enumerate(free)}, p)
         dims[y] = len(free)
-    mats = {m: proj[m[1]] @ (P.mats[m] @ incl[m[0]]) for m in P.base.all_morphisms()}
+    mats = [proj[m[1]] @ (mat @ incl[m[0]]) for m, mat in zip(P.base.arrows(), P.mats)]
     return LinearFunctor(P.base, p, dims, mats, name=name)
 
 
@@ -592,11 +606,12 @@ class Resolution:
 
     terms[k] lists one base object per generator of R_k; diffs[k][j]
     (k >= 1) expands the image of generator j of R_k over the Yoneda
-    basis (i, f: x_i -> x_j) of R_{k-1} at the generator's object;
-    aug[i] is the image in M of generator i of R_0.  The cover backend
-    verifies exactness object by object while building; bar exactness
-    is classical and spot-checked by evaluation in the tests, with
-    d^2 = 0 caught either way when the Hom complex is assembled.
+    basis (i, f) of R_{k-1} at the generator's object, f the id of an
+    arrow x_i -> x_j; aug[i] is the image in M of generator i of R_0.
+    The cover backend verifies exactness object by object while
+    building; bar exactness is classical and spot-checked by evaluation
+    in the tests, with d^2 = 0 caught either way when the Hom complex is
+    assembled.
 
     By Yoneda a map out of a sum of representables is fixed by where
     its generators go, and every such map here goes through one pair
@@ -613,48 +628,42 @@ class Resolution:
     diffs: list
     aug: list
     backend: str
-    exactness: dict = field(default_factory=dict)
     _tb: dict = field(default_factory=dict, repr=False)
     _rd: dict = field(default_factory=dict, repr=False)
     _push_idx: dict = field(default_factory=dict, repr=False)
 
-    def term_basis(self, k: int, y) -> list:
+    def term_basis(self, k: int, y) -> tuple:
+        """(basis, shifts) of R_k(y).  Block i is hom(x_i, y) in hom
+        order, so basis lists the pairs (i, h), h an arrow id, in
+        position order, and (i, h) sits at position shifts[i] + h."""
         key = (k, y)
         if key not in self._tb:
-            out = []
+            basis, shifts = [], []
             for i, x in enumerate(self.terms[k]):
-                for f in self.base.hom(x, y):
-                    out.append((i, f))
-            self._tb[key] = (out, {b: n for n, b in enumerate(out)})
-        return self._tb[key][0]
-
-    def term_index(self, k: int, y) -> dict:
-        self.term_basis(k, y)
-        return self._tb[(k, y)][1]
+                shifts.append(len(basis) - self.base.hom_start(x, y))
+                basis.extend((i, h) for h in self.base.hom_ids(x, y))
+            self._tb[key] = (basis, shifts)
+        return self._tb[key]
 
     def term_dim(self, k: int, y) -> int:
         """dim T_k(y), with T_{-1} = M."""
-        return self.M.dims[y] if k == -1 else len(self.term_basis(k, y))
+        return self.M.dims[y] if k == -1 else len(self.term_basis(k, y)[0])
 
-    def push(self, k: int, f, vec):
-        """T_k(f) vec.  On R_k this is the index scatter
-        (i, h) |-> (i, f o h), read off the base's composition table
-        (``FinCategory.post_ids``) and cached per (k, f);
+    def push(self, k: int, f: int, vec):
+        """T_k(f) vec for the arrow id f.  On R_k this is the index
+        scatter (i, h) |-> (i, f o h), read off the base's composition
+        table (``FinCategory.post_ids``) and cached per (k, f);
         on T_{-1} = M it is the matrix M(f).  On R_k a vector may also
         be given sparsely, as {position: c}, and comes back the same way
         with its coefficients summed but not reduced."""
         if k == -1:
             return _apply(self.M.mats[f], vec, self.p)
+        y = self.base.arrows()[f][1]
         idx = self._push_idx.get((k, f))
         if idx is None:
-            # block i of T_k(y) is hom(x_i, y) in hom order, at offset o
-            base, y = self.base, f[1]
-            fid = base.arrow_id(f)
-            idx, o = [], 0
-            for x in self.terms[k]:
-                shift = o - base.hom_start(x, y)
-                idx.extend(shift + fh for fh in base.post_ids(fid, x))
-                o += len(base.hom(x, y))
+            _, shifts = self.term_basis(k, y)
+            idx = [s + fh for x, s in zip(self.terms[k], shifts)
+                   for fh in self.base.post_ids(f, x)]
             if self.p:
                 idx = np.asarray(idx, dtype=np.int64)
             self._push_idx[(k, f)] = idx
@@ -664,7 +673,7 @@ class Resolution:
                 r = int(idx[pos])
                 out[r] = out.get(r, 0) + c
             return out
-        dim = self.term_dim(k, f[1])
+        dim = self.term_dim(k, y)
         if self.p:
             out = np.zeros(dim, dtype=np.int64)
             np.add.at(out, idx, np.asarray(vec, dtype=np.int64))
@@ -684,7 +693,7 @@ class Resolution:
         key = (k, y)
         mat = self._rd.get(key)
         if mat is None:
-            basis = self.term_basis(k, y)
+            basis, _ = self.term_basis(k, y)
             if k == 0:
                 cols = [self.push(-1, f, self.aug[j]) for j, f in basis]
                 mat = FinMatrix.from_columns(cols, self.M.dims[y], self.p)
@@ -692,8 +701,9 @@ class Resolution:
                 images, entries = {}, {}
                 for c, (j, f) in enumerate(basis):
                     if j not in images:
-                        index = self.term_index(k - 1, f[0])
-                        images[j] = {index[b]: v for b, v in self.diffs[k][j].items()}
+                        _, shifts = self.term_basis(k - 1, self.terms[k][j])
+                        images[j] = {shifts[i] + h: v
+                                     for (i, h), v in self.diffs[k][j].items()}
                     for r, v in self.push(k - 1, f, images[j]).items():
                         entries[(r, c)] = v
                 mat = FinMatrix(self.term_dim(k - 1, y), len(basis), entries, self.p)
@@ -734,9 +744,10 @@ def _expansion(basis: list, vec) -> dict:
 
 def _hom_block(F: LinearFunctor, rows: tuple, cols: tuple, images: list) -> FinMatrix:
     """Precomposition Hom(R', F) -> Hom(R, F) with the map R -> R'
-    sending generator j of R (at rows[j]) to images[j] = {(i, h): c}
-    over generators i of R' (at cols[i]).  By Yoneda Hom(R, F) is one
-    F(x_j)-block per generator, and block (j, i) is the sum of c F(h)."""
+    sending generator j of R (at rows[j]) to images[j] = {(i, h): c},
+    i a generator of R' (at cols[i]) and h an arrow id.  By Yoneda
+    Hom(R, F) is one F(x_j)-block per generator, and block (j, i) is the
+    sum of c F(h)."""
     roff = list(accumulate((F.dims[x] for x in rows), initial=0))
     coff = list(accumulate((F.dims[x] for x in cols), initial=0))
     entries = {}
@@ -794,23 +805,13 @@ def cover_resolution(M: LinearFunctor, length: int) -> Resolution:
 def _cover_stage(res: Resolution, k: int) -> None:
     """Append R_k, covering the kernel of d_{k-1}, and certify it."""
     base = res.base
-    kernels, exactness = {}, {}
-    for y in base.objects:
-        mat = res.realize(k - 1, y)
-        kb = mat.kernel_basis()
-        kernels[y] = kb
-        exactness[(k - 1, y)] = {
-            "dim": mat.ncols,
-            "rank_out": mat.ncols - kb.ncols,
-            "kernel": kb.ncols,
-        }
-
+    kernels = {y: res.realize(k - 1, y).kernel_basis() for y in base.objects}
     gens = _greedy_cover(
         res, k - 1,
         lambda y: [kernels[y].column(j) for j in range(kernels[y].ncols)],
     )
     res.terms.append(tuple(x for x, _ in gens))
-    res.diffs.append([_expansion(res.term_basis(k - 1, x), vec) for x, vec in gens])
+    res.diffs.append([_expansion(res.term_basis(k - 1, x)[0], vec) for x, vec in gens])
 
     # certify the greedy step: d^2 = 0 and the image really is the
     # kernel, object by object
@@ -818,11 +819,8 @@ def _cover_stage(res: Resolution, k: int) -> None:
         dk = res.realize(k, y)
         if not (res.realize(k - 1, y) @ dk).is_zero():
             raise ResolutionError(f"d^2 != 0 at stage {k}, object {y!r}")
-        rk = dk.rank()
-        if rk != kernels[y].ncols:
+        if dk.rank() != kernels[y].ncols:
             raise ResolutionError(f"cover misses the kernel at stage {k}, object {y!r}")
-        exactness[(k - 1, y)]["rank_in"] = rk
-    res.exactness.update(exactness)
 
 
 def _unit_vectors(dim: int) -> list:
@@ -858,7 +856,7 @@ def _greedy_cover(res: Resolution, k: int, targets_fn, seeds=()) -> list:
         if not spans[x].contains(t):
             gens.append((x, list(t)))
             for y in base.objects:
-                for f in base.hom(x, y):
+                for f in base.hom_ids(x, y):
                     spans[y].insert(res.push(k, f, t))
 
     for x, t in seeds:
@@ -877,18 +875,20 @@ def bar_resolution(M: LinearFunctor, length: int, normalized: bool = True,
     face terms dropped; the unnormalized variant keeps everything and
     serves as an extra oracle on small inputs.
 
-    Faces: face 0 applies M along the first arrow, middle faces
+    A chain is a tuple of arrow ids, first arrow first; composites come
+    from the base's composition table and identities are recognized by
+    id.  Faces: face 0 applies M along the first arrow, middle faces
     compose adjacent arrows, the last face peels the final arrow into
     the Yoneda direction, with alternating signs.
     """
     base, p = M.base, M.p
-    if normalized:
-        arrows = [m for m in base.all_morphisms() if m != base.identity(m[0])]
-    else:
-        arrows = list(base.all_morphisms())
+    arrows = base.arrows()
+    identity = {x: base.arrow_id(base.identity(x)) for x in base.objects}
+    identities = set(identity.values())
+    links = [m for m in range(len(arrows)) if not (normalized and m in identities)]
     extend = {}
-    for m in arrows:
-        extend.setdefault(m[1], []).append(m)
+    for m in links:
+        extend.setdefault(arrows[m][1], []).append(m)
 
     chains: list = [[()]]
     gen_count = sum(M.dims.values())
@@ -896,11 +896,11 @@ def bar_resolution(M: LinearFunctor, length: int, normalized: bool = True,
         nxt = []
         for ch in chains[-1]:
             if ch:
-                nxt.extend((m,) + ch for m in extend.get(ch[0][0], ()))
+                nxt.extend((m,) + ch for m in extend.get(arrows[ch[0]][0], ()))
             else:
-                nxt.extend((m,) for m in arrows)
+                nxt.extend((m,) for m in links)
         chains.append(nxt)
-        gen_count += sum(M.dims[ch[0][0]] for ch in nxt)
+        gen_count += sum(M.dims[arrows[ch[0]][0]] for ch in nxt)
         if gen_count > max_generators:
             raise ResolutionError(
                 f"bar resolution too large: {gen_count} generators by stage {k}"
@@ -919,12 +919,13 @@ def bar_resolution(M: LinearFunctor, length: int, normalized: bool = True,
     prev_lookup = {((), x, b): i for i, (x, b) in enumerate(gens0)}
 
     for k in range(1, length + 1):
-        gens = [(ch, ch[0][0], b) for ch in chains[k] for b in range(M.dims[ch[0][0]])]
-        res.terms.append(tuple(ch[-1][1] for ch, _, _ in gens))
+        gens = [(ch, arrows[ch[0]][0], b) for ch in chains[k]
+                for b in range(M.dims[arrows[ch[0]][0]])]
+        res.terms.append(tuple(arrows[ch[-1]][1] for ch, _, _ in gens))
         expansions = []
         for ch, x, b in gens:
             exp: dict = {}
-            tgt_id = base.identity(ch[-1][1])
+            tgt_id = identity[arrows[ch[-1]][1]]
 
             def add_term(key, f, coef):
                 bk = (prev_lookup[key], f)
@@ -934,11 +935,11 @@ def bar_resolution(M: LinearFunctor, length: int, normalized: bool = True,
             first = ch[0]
             for (r, c), v in M.mats[first].entries.items():
                 if c == b:
-                    add_term((ch[1:], first[1], r), tgt_id, v)
+                    add_term((ch[1:], arrows[first][1], r), tgt_id, v)
             # middle faces: compose adjacent arrows
             for i in range(1, k):
-                comp = base.compose(ch[i], ch[i - 1])
-                if normalized and comp == base.identity(comp[0]):
+                comp = base.compose_id(ch[i], ch[i - 1])
+                if normalized and comp in identities:
                     continue
                 new_ch = ch[: i - 1] + (comp,) + ch[i + 1:]
                 add_term((new_ch, x, b), tgt_id, -1 if i % 2 else 1)
@@ -989,10 +990,11 @@ def ext(M: LinearFunctor, F: LinearFunctor, K: int, backend: str = "cover",
 
 def _check_same_base(M: LinearFunctor, F: LinearFunctor) -> None:
     """ValueError unless M and F live on the same base: the same object,
-    or equal objects and hom sets.  Arrow ids from one base mean nothing
-    on another, so this runs before any table is read."""
+    or the same arrows in the same order.  Arrow ids mean something only
+    under one numbering, and equal hom sets listed in another order
+    number their arrows otherwise, so this runs before any id is read."""
     a, b = M.base, F.base
-    if a is not b and (a.objects != b.objects or a.homs != b.homs):
+    if a is not b and a.arrows() != b.arrows():
         raise ValueError("functors live on different bases")
 
 
@@ -1036,28 +1038,24 @@ def generating_morphisms(base: FinCategory) -> list:
       ``FinCategory.check(associativity=True)`` on ``com`` and ``ass``
       at arity <= 2; above that it is assumed, not proved here.
 
-    The result is computed once per base and cached in ``base.memo``,
-    next to the arrow numbering and the composition table (see
-    ``FinCategory``); ``generating_ids`` gives the same arrows by id.
-    Treat the returned lists as read-only.
+    The engine reads the set by id (``generating_ids``); this list of
+    triples is the same arrows in the same order.
     """
-    gens = base.memo.get("generating_morphisms")
-    if gens is None:
-        gens = base.memo["generating_morphisms"] = _generating_morphisms(base)
-    return gens
+    return [base.arrows()[g] for g in generating_ids(base)]
 
 
 def generating_ids(base: FinCategory) -> list:
-    """The ids of ``generating_morphisms(base)``, in the same order."""
+    """The ids of ``generating_morphisms(base)``, computed once per base
+    and cached in ``base.memo`` next to the arrow numbering and the
+    composition table (see ``FinCategory``).  Treat it as read-only."""
     ids = base.memo.get("generating_ids")
     if ids is None:
-        ids = base.memo["generating_ids"] = [
-            base.arrow_id(g) for g in generating_morphisms(base)]
+        ids = base.memo["generating_ids"] = _generating_morphisms(base)
     return ids
 
 
 def _generating_morphisms(base: FinCategory) -> list:
-    """Uncached search behind ``generating_morphisms``, run on arrow ids.
+    """Uncached search behind ``generating_ids``, on arrow ids.
 
     The closure of a set of generators (the non-identity composites of
     its words) only ever grows by composing a generator on the left,
@@ -1091,7 +1089,7 @@ def _generating_morphisms(base: FinCategory) -> list:
             h = frontier.pop()
             for g in gens_from.get(arrows[h][1], ()):
                 add(base.compose_id(g, h), frontier)
-    return [arrows[g] for g in gens]
+    return gens
 
 
 def hom_solver(M: LinearFunctor, F: LinearFunctor) -> int:
@@ -1113,8 +1111,8 @@ def hom_solver(M: LinearFunctor, F: LinearFunctor) -> int:
 
     entries = {}
     nrows = 0
-    for g in generating_morphisms(M.base):
-        y, z = g[0], g[1]
+    for g in generating_ids(M.base):
+        y, z, _ = M.base.arrows()[g]
         mg, fg = M.mats[g], F.mats[g]
         for r in range(F.dims[z]):
             for c in range(M.dims[y]):
@@ -1198,10 +1196,10 @@ def ses_maps_ass(N: int, p: int = 0, base=None):
             entries[(i, i - 1)] = -1
         rho[n] = FinMatrix(n + 1, n, entries, p)
         pi[n] = FinMatrix(1, n + 1, {(0, j): 1 for j in range(n + 1)}, p)
-    for m in base.all_morphisms():
-        if rho[m[1]] @ A.mats[m] != B.mats[m] @ rho[m[0]]:
+    for m, a, b, c in zip(base.arrows(), A.mats, B.mats, C.mats):
+        if rho[m[1]] @ a != b @ rho[m[0]]:
             raise ValueError(f"rho is not natural at {m!r}")
-        if pi[m[1]] @ B.mats[m] != C.mats[m] @ pi[m[0]]:
+        if pi[m[1]] @ b != c @ pi[m[0]]:
             raise ValueError(f"pi is not natural at {m!r}")
     return A, B, C, rho, pi
 
@@ -1273,37 +1271,35 @@ def _composite_vanishes(Z: FinMatrix, U1: FinMatrix, U2: FinMatrix,
     return comp.hstack(Bd).rank() == Bd.rank()
 
 
-_les_infra: dict = {}
-
-
 def _les_infrastructure(N: int, p: int, L: int, base):
     """Everything in the long-exact-sequence check that does not depend
-    on the coefficient functor, cached so a batch of coefficients pays
-    for the resolutions once.  The correction maps are kept as Yoneda
-    expansions, ready for ``_hom_block``."""
-    key = (N, p, L)
-    if key not in _les_infra:
+    on the coefficient functor, cached in ``base.memo`` so a batch of
+    coefficients on one base pays for the resolutions once.  The
+    correction maps are kept as Yoneda expansions, ready for
+    ``_hom_block``."""
+    key = ("les", N, p, L)
+    if key not in base.memo:
         A, B, C, rho, pi = ses_maps_ass(N, p, base)
         resA = cover_resolution(A, L)
         resC = cover_resolution(C, L)
         resB = cover_resolution(B, L)
         lam = _horseshoe(resA, resC, rho, pi, B, L)
         lam_exp = [None] + [
-            [_expansion(resA.term_basis(k - 1, x), lam[k][j])
+            [_expansion(resA.term_basis(k - 1, x)[0], lam[k][j])
              for j, x in enumerate(resC.terms[k])]
             for k in range(1, L + 1)
         ]
-        _les_infra[key] = (A, B, C, rho, pi, resA, resC, resB, lam_exp)
-    return _les_infra[key]
+        base.memo[key] = (A, B, C, rho, pi, resA, resC, resB, lam_exp)
+    return base.memo[key]
 
 
 def les_check_ass(N: int, F: LinearFunctor, K: int) -> dict:
     """Long-exact-sequence verification for the vertex-functor short
     exact sequence over the simplex category truncated at N, against a
     coefficient functor F, through cohomological degree K.  F must live
-    on the simplex category truncated at N, with the hom sets of
-    ``delta_category(N)``; any other base is a ValueError raised before
-    anything is cached.
+    on the simplex category truncated at N, with the arrows of
+    ``delta_category(N)`` in their order; any other base is a ValueError
+    raised before anything is cached.
 
     The report carries (a) pointwise short exactness with ranks, (b)
     the projectivity facts for the middle term (higher Ext vanishes,
@@ -1312,7 +1308,7 @@ def les_check_ass(N: int, F: LinearFunctor, K: int) -> dict:
     witnessed by induced ranks on cohomology.
     """
     base = F.base
-    if base.objects != tuple(range(N + 1)) or base.homs != delta_category(N).homs:
+    if base.arrows() != delta_category(N).arrows():
         raise ValueError(f"coefficient functor's base is not the simplex category "
                          f"truncated at {N}")
     p = F.p
@@ -1438,16 +1434,16 @@ def conormalized_cohomology(F: LinearFunctor, K: int) -> list:
         if n == 0:
             kers.append(FinMatrix.identity(F.dims[0], p))
             continue
-        stacked = F.mats[codegeneracy(n, 0)]
+        stacked = F.mats[base.arrow_id(codegeneracy(n, 0))]
         for j in range(1, n):
-            stacked = stacked.vstack(F.mats[codegeneracy(n, j)])
+            stacked = stacked.vstack(F.mats[base.arrow_id(codegeneracy(n, j))])
         kers.append(stacked.kernel_basis())
     dims = [kers[n].ncols for n in range(top + 1)]
     diffs = []
     for n in range(top):
         total = FinMatrix.zeros(F.dims[n + 1], F.dims[n], p)
         for i in range(n + 2):
-            mat = F.mats[coface(n, i)]
+            mat = F.mats[base.arrow_id(coface(n, i))]
             total = total + (mat.scale(-1) if i % 2 else mat)
         rhs = total @ kers[n]
         sol = kers[n + 1].solve_matrix(rhs)

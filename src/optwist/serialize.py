@@ -246,7 +246,7 @@ def load_category(doc: dict) -> FinCategory:
 # -- linear functors --------------------------------------------------------
 
 def functor_payload(F: LinearFunctor, hint: str) -> dict:
-    mats = sorted(F.mats.items(), key=lambda kv: encode_key(kv[0]))
+    mats = sorted(zip(F.base.arrows(), F.mats), key=lambda kv: encode_key(kv[0]))
     return {
         "base": hint,
         "p": F.p,
@@ -265,18 +265,28 @@ def functor_payload(F: LinearFunctor, hint: str) -> dict:
 
 
 def load_functor(doc: dict) -> LinearFunctor:
+    """Rebuild the base named by the dump and the functor on it.  The
+    dump must list exactly the rebuilt base's objects, in order, and
+    exactly one matrix per arrow of it, else SchemaError."""
     payload = doc["payload"]
     base = build_base(payload["base"])
-    dims = {decode(x): d for x, d in payload["dims"]}
-    mats = {
+    dims = [(decode(x), d) for x, d in payload["dims"]]
+    if [x for x, _ in dims] != list(base.objects):
+        raise SchemaError("stored objects disagree with the rebuilt base")
+    stored = {
         (decode(e["src"]), decode(e["tgt"]), decode(e["map"])):
             matrix_from_json(e["matrix"])
         for e in payload["mats"]
     }
+    if len(stored) != len(payload["mats"]) or stored.keys() != set(base.arrows()):
+        raise SchemaError("stored arrows disagree with the rebuilt base")
     # the constructor runs the generator check, which implies full
     # functoriality, so a dump that decodes but is not a functor cannot load
-    return LinearFunctor(base, payload["p"], dims, mats,
-                         name=payload.get("name", ""))
+    try:
+        return LinearFunctor(base, payload["p"], dims, [stored[m] for m in base.arrows()],
+                             name=payload.get("name", ""))
+    except ValueError as exc:
+        raise SchemaError(f"stored matrices are not a functor: {exc}") from exc
 
 
 # -- top-level persist/load --------------------------------------------------

@@ -69,7 +69,7 @@ class FinCategory:
     ``compose`` and stored as its id, and ``compose_id`` reads one
     entry.  The table holds ints only, never payloads.  The numbering,
     the table (``memo["compose_table"]``) and the generating set (see
-    ``qcohom.generating_morphisms``) live in ``memo``.  They are derived
+    ``qcohom.generating_ids``) live in ``memo``.  They are derived
     from the category, which is never changed after construction, so
     every functor, resolution and request on the same base object shares
     them; ``serialize.build_base`` keeps one base per hint per process
@@ -115,6 +115,11 @@ class FinCategory:
     def hom_start(self, x, y) -> int:
         """Id of the first arrow of hom(x, y)."""
         return self._numbering()[2].get((x, y), 0)
+
+    def hom_ids(self, x, y) -> range:
+        """The ids of hom(x, y), in hom order."""
+        start = self.hom_start(x, y)
+        return range(start, start + len(self.hom(x, y)))
 
     def post_ids(self, g: int, x) -> tuple:
         """Ids of g o f for f in hom(x, source of g), in hom order: the

@@ -118,6 +118,33 @@ def test_functor_round_trip_and_file_source(tmp_path):
                  "--field", "fp:101"]) == 2
 
 
+@pytest.mark.parametrize("tamper", ["drop-matrix", "drop-dim", "bogus-src", "not-a-functor"])
+def test_malformed_functor_dump_is_certified_failure(tmp_path, capsys, tamper):
+    # loading rebuilds the base and requires exactly its objects, one
+    # matrix per arrow of it, and matrices that form a functor
+    path = tmp_path / "t2.json"
+    ser.persist(gamma_t(2), path, ser.make_meta(0, 2, "none", 0), hint="gamma:2")
+    doc = read_json(path)
+    payload = doc["payload"]
+    if tamper == "drop-matrix":
+        payload["mats"].pop(3)
+    elif tamper == "drop-dim":
+        payload["dims"].pop(0)
+    elif tamper == "not-a-functor":
+        entry = next(e for e in payload["mats"]
+                     if e["src"] != e["tgt"] and e["matrix"]["entries"])
+        entry["matrix"]["entries"][0][2] = 5
+    else:
+        payload["mats"].append(dict(payload["mats"][0], src=ser.encode(7)))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ser.SchemaError):
+        ser.load(path)
+    capsys.readouterr()
+    assert main(["ext", "--base", "gamma:2", "--source", "t",
+                 "--target", f"file:{path}", "--degrees", "0..1"]) == 1
+    assert "FAIL:" in capsys.readouterr().err
+
+
 def test_sset_quasi_bytes_stable_across_threads(tmp_path):
     outs = []
     for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):

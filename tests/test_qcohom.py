@@ -17,7 +17,6 @@ from optwist.qcohom import (
     _action_closure,
     _apply,
     _generating_morphisms,
-    _les_infra,
     _pointed_pullback,
     _quotient_functor,
     _representables,
@@ -94,10 +93,10 @@ def test_pointed_pullback_contravariant(data):
 
 def test_linear_functor_rejects_broken_matrix():
     t = gamma_t(2, p=0)
-    mats = dict(t.mats)
+    mats = list(t.mats)
     victim = next(
-        m for m in t.base.all_morphisms()
-        if m != t.base.identity(m[0]) and not mats[m].is_zero()
+        t.base.arrow_id(m) for m in t.base.all_morphisms()
+        if m != t.base.identity(m[0]) and not mats[t.base.arrow_id(m)].is_zero()
     )
     mats[victim] = mats[victim].scale(2)
     with pytest.raises(ValueError):
@@ -106,8 +105,8 @@ def test_linear_functor_rejects_broken_matrix():
 
 def test_linear_functor_rejects_bad_identity():
     t = gamma_t(1, p=0)
-    mats = dict(t.mats)
-    mats[t.base.identity(1)] = FinMatrix.zeros(1, 1, 0)
+    mats = list(t.mats)
+    mats[t.base.arrow_id(t.base.identity(1))] = FinMatrix.zeros(1, 1, 0)
     with pytest.raises(ValueError):
         LinearFunctor(t.base, 0, t.dims, mats)
 
@@ -119,10 +118,11 @@ def _plant_at_composite(F):
     base = F.base
     gens = set(generating_morphisms(base))
     victim = next(
-        m for m in base.all_morphisms()
-        if m != base.identity(m[0]) and m not in gens and not F.mats[m].is_zero()
+        base.arrow_id(m) for m in base.all_morphisms()
+        if m != base.identity(m[0]) and m not in gens
+        and not F.mats[base.arrow_id(m)].is_zero()
     )
-    mats = dict(F.mats)
+    mats = list(F.mats)
     mats[victim] = mats[victim].scale(2)
     return mats
 
@@ -149,7 +149,7 @@ def test_gamma_t_structure_map():
     # to the diagonal k -> k^2
     t = gamma_t(2, p=0)
     phi = PointedMap(2, 1, (1, 1))
-    mat = t.mats[(1, 2, phi)]
+    mat = t.mats[t.base.arrow_id((1, 2, phi))]
     assert (mat.nrows, mat.ncols) == (2, 1)
     assert mat.entries == {(0, 0): Fraction(1), (1, 0): Fraction(1)}
 
@@ -173,7 +173,7 @@ def test_eta_shriek_is_the_representable_at_zero():
             for m in base.all_morphisms():
                 g = m[2]
                 closed = {(g(i), i): 1 for i in range(m[0] + 1)}
-                assert B.mats[m] == FinMatrix(m[1] + 1, m[0] + 1, closed, p)
+                assert B.mats[base.arrow_id(m)] == FinMatrix(m[1] + 1, m[0] + 1, closed, p)
             LinearFunctor(base, p, B.dims, B.mats)
 
 
@@ -194,7 +194,7 @@ def test_f_ass_delta_spreads_over_gaps():
     from optwist.qcohom import coface
 
     m = coface(1, 1)
-    assert A.mats[m].entries == {(0, 0): Fraction(1), (1, 0): Fraction(1)}
+    assert A.mats[base.arrow_id(m)].entries == {(0, 0): Fraction(1), (1, 0): Fraction(1)}
     stats = base.check(associativity=False)
     assert stats["objects"] == 3
 
@@ -221,7 +221,7 @@ def _small_bases():
 def _block_reference(base, xs, p):
     """The blocks of k[Hom(x_1, -)] + ... built apart from
     ``_representables``: each composite is found by its position in
-    the hom tuple."""
+    the hom tuple.  The matrices come in arrow id order."""
     dims = {y: sum(len(base.hom(x, y)) for x in xs) for y in base.objects}
     mats = {}
     for g in base.all_morphisms():
@@ -234,7 +234,7 @@ def _block_reference(base, xs, p):
             ro += len(tgt)
             co += len(base.hom(x, g[0]))
         mats[g] = FinMatrix(dims[g[1]], dims[g[0]], entries, p)
-    return dims, mats
+    return dims, tuple(mats[m] for m in base.arrows())
 
 
 @pytest.mark.parametrize("p", [0, 101])
@@ -334,9 +334,10 @@ def test_generating_morphisms_reach_everything():
 
 def test_generating_morphisms_are_cached_per_base():
     for base in (gamma_category(3), delta_category(3)):
-        gens = generating_morphisms(base)
-        assert generating_morphisms(base) is gens
-        assert gens == _generating_morphisms(base)
+        ids = generating_ids(base)
+        assert generating_ids(base) is ids
+        assert ids == _generating_morphisms(base)
+        assert generating_morphisms(base) == [base.arrows()[g] for g in ids]
 
 
 def test_stability_in_resolution_length():
@@ -364,7 +365,8 @@ def test_bar_resolution_is_exact_in_low_degrees():
 def test_realize_matches_independent_assembly(p):
     # d_k at y, column (j, f), is the representable sum R_{k-1} applied
     # along f to the image of generator j (M itself for k = 0); the
-    # image's coordinates are placed by the hom tuples, not term_index.
+    # image's coordinates are placed by the hom tuples, not by the
+    # resolution's own block shifts.
     # The bar over tw:ass:2 stops at B_1: B_2 has 2422 generators.
     tw_ass = tw_category(ass(), 2)
     cases = ((gamma_t(2, p), 2), (f_ass_delta(2, p), 2),
@@ -387,8 +389,10 @@ def test_realize_matches_independent_assembly(p):
                             for xi in prev:
                                 offsets.append(offsets[-1] + len(base.hom(xi, x)))
                             for (i, h), c in res.diffs[k][j].items():
+                                h = base.arrows()[h]
                                 image[offsets[i] + base.hom(prev[i], x).index(h)] = c
                         for f in base.hom(x, y):
+                            f = base.arrow_id(f)
                             mat = M.mats[f] if k == 0 else T.mats[f]
                             vec = FinMatrix.from_columns([image], mat.ncols, p)
                             cols.append((mat @ vec).column(0))
@@ -468,10 +472,12 @@ def test_les_rejects_a_base_of_another_truncation():
 
 def test_les_rejects_a_base_that_is_not_the_simplex_category():
     # gamma:2 has the objects 0..2 of delta:2 but other hom sets
-    cached = set(_les_infra)
+    gamma = gamma_category(2)
+    C = constant_functor(gamma, 101)
+    cached = set(gamma.memo)
     with pytest.raises(ValueError):
-        les_check_ass(2, constant_functor(gamma_category(2), 101), 1)
-    assert set(_les_infra) == cached
+        les_check_ass(2, C, 1)
+    assert set(gamma.memo) == cached
     rep = les_check_ass(2, constant_functor(delta_category(2), 101), 1)
     assert rep["all_exact"]
 
@@ -538,9 +544,10 @@ def test_action_closure_is_closed_under_every_arrow(p):
             spans = _action_closure(P, raw)
             for m in base.all_morphisms():
                 for row in spans[m[0]].matrix().to_rows():
-                    assert spans[m[1]].contains(_apply(P.mats[m], row, p)), (base, seed, m)
+                    assert spans[m[1]].contains(
+                        _apply(P.mats[base.arrow_id(m)], row, p)), (base, seed, m)
             for z in base.objects:
-                pushed = [_apply(P.mats[m], vec, p)
+                pushed = [_apply(P.mats[base.arrow_id(m)], vec, p)
                           for y, vec in raw for m in base.hom(y, z)]
                 for vec in pushed:
                     assert spans[z].contains(vec)
@@ -562,9 +569,10 @@ def _quotient_by_columns(P, spans):
         for j in free[m[0]]:
             basis = [0] * P.dims[m[0]]
             basis[j] = 1
-            red = spans[m[1]].residue(_apply(P.mats[m], basis, p))
+            red = spans[m[1]].residue(_apply(P.mats[P.base.arrow_id(m)], basis, p))
             cols.append([red[i] for i in free[m[1]]])
         mats[m] = FinMatrix.from_columns(cols, len(free[m[1]]), p)
+    mats = tuple(mats[m] for m in P.base.arrows())
     return {y: len(free[y]) for y in P.base.objects}, mats
 
 
@@ -594,7 +602,7 @@ def _functor_digest(functors) -> str:
             h.update(f"|{F.dims[x]}".encode())
         for m in F.base.all_morphisms():
             h.update(b"#")
-            for (i, j), v in sorted(F.mats[m].entries.items()):
+            for (i, j), v in sorted(F.mats[F.base.arrow_id(m)].entries.items()):
                 h.update(f"{i},{j},{v};".encode())
     return h.hexdigest()
 
@@ -686,7 +694,7 @@ def test_wrong_table_entry_rejects_a_true_functor(p):
         for wrong in range(base.hom_start(x, arrows[g][1]),
                            base.hom_start(x, arrows[g][1])
                            + len(base.hom(x, arrows[g][1])))
-        if T.mats[arrows[wrong]] != T.mats[arrows[gf]]
+        if T.mats[wrong] != T.mats[gf]
     )
     row = table[(g, x)]
     table[(g, x)] = row[:j] + (wrong,) + row[j + 1:]
@@ -866,3 +874,123 @@ def test_a_failed_stage_leaves_the_kept_resolution_as_it_was(monkeypatch):
     assert t.kept.terms == terms and t.kept.diffs == diffs
     monkeypatch.undo()
     assert ext(t, t, 3) == [1, 0, 0, 0]
+
+
+# -- arrows by id against a triple-keyed oracle --------------------------------
+
+
+def _pullback_ref(phi, p):
+    """Coordinates pulled back along a pointed map: a 1 at (j, phi(j) - 1)
+    for each j off the basepoint fiber."""
+    return FinMatrix(phi.n, phi.m,
+                     {(j, v - 1): 1 for j, v in enumerate(phi.values) if v}, p)
+
+
+def _gaps_ref(m, p):
+    """f_ass on g: [a] -> [b]: difference coordinate i spreads over the
+    gap (g(i-1), g(i)]."""
+    g = m[2]
+    return FinMatrix(m[1], m[0], {(j - 1, i - 1): 1 for i in range(1, m[0] + 1)
+                                  for j in range(g(i - 1) + 1, g(i) + 1)}, p)
+
+
+def _yoneda_ref(base, x, m, p):
+    """k[Hom(x, -)] at m: column f goes to row m o f, by hom tuple position."""
+    src, tgt = base.hom(x, m[0]), base.hom(x, m[1])
+    return FinMatrix(len(tgt), len(src),
+                     {(tgt.index(base.compose(m, f)), j): 1 for j, f in enumerate(src)}, p)
+
+
+def _oracle_cases(p):
+    """(functor, closed form keyed by arrow triple) over gamma:2, delta:3,
+    tw:com:2, tw:ass:2 and their opposites; None where the only closed
+    form is functoriality itself."""
+    g2, d3, tc, ta = (build_base(h) for h in ("gamma:2", "delta:3", "tw:com:2", "tw:ass:2"))
+    t = gamma_t(2, p, g2)
+    named = [
+        (t, lambda m: _pullback_ref(m[2], p)),
+        (transport_to_tw(t, tc), lambda m: _pullback_ref(m[2].f, p)),
+        (f_operad(com(), 2, p, base=tc), lambda m: _pullback_ref(m[2].f, p)),
+        (f_operad(ass(), 2, p, base=ta), lambda m: _pullback_ref(m[2].f, p)),
+        (f_ass_delta(3, p, d3), lambda m: _gaps_ref(m, p)),
+    ]
+    cases = list(named)
+    for F, closed in named:
+        cases.append((dual_functor(F, op_category(F.base)),
+                      lambda m, closed=closed: closed(m[2]).transpose()))
+    for base in (g2, d3, tc, ta):
+        for B in (base, op_category(base)):
+            x = B.objects[-1]
+            cases.append((constant_functor(B, p, 2), lambda m: FinMatrix.identity(2, p)))
+            cases.append((representable(B, x, p),
+                          lambda m, B=B, x=x: _yoneda_ref(B, x, m, p)))
+            cases.append((random_functor(B, p, 3), None))
+    return cases
+
+
+@pytest.mark.parametrize("p", [0, 101])
+def test_matrices_by_id_match_the_triple_keyed_oracle(p):
+    # every builder's matrix at arrow m, looked up by base.arrow_id(m),
+    # is the closed form written over triples; and every functor
+    # composes over triples, with composites from base.compose, not the
+    # id table
+    for F, closed in _oracle_cases(p):
+        base = F.base
+        assert len(F.mats) == len(base.arrows())
+        by_triple = {m: F.mats[base.arrow_id(m)] for m in base.all_morphisms()}
+        for m, mat in by_triple.items():
+            if closed is not None:
+                assert mat == closed(m), (F.name, m)
+            if m == base.identity(m[0]):
+                assert mat == FinMatrix.identity(F.dims[m[0]], p)
+            for g in base.all_morphisms():
+                if g[0] == m[1]:
+                    assert by_triple[base.compose(g, m)] == by_triple[g] @ mat
+
+
+def test_op_arrow_i_carries_base_arrow_i():
+    for hint in ("gamma:2", "delta:3", "tw:com:2", "tw:ass:2"):
+        base = build_base(hint)
+        op = op_category(base)
+        assert len(op.arrows()) == len(base.arrows())
+        for i, m in enumerate(op.arrows()):
+            assert m[2] == base.arrows()[i]
+
+
+def test_a_renumbered_copy_of_a_base_is_refused():
+    # equal hom sets listed in another order compare equal as dicts but
+    # number their arrows otherwise
+    d = delta_category(2)
+    rev = FinCategory(d.objects, dict(reversed(list(d.homs.items()))),
+                      d.compose_fn, d.identity_fn)
+    assert rev.homs == d.homs and rev.arrows() != d.arrows()
+    M, F = constant_functor(d, 101), constant_functor(rev, 101)
+    for backend in ("cover", "bar", "co-cover"):
+        with pytest.raises(ValueError, match="different bases"):
+            ext(M, F, 1, backend=backend)
+    with pytest.raises(ValueError, match="different bases"):
+        hom_solver(M, F)
+    with pytest.raises(ValueError, match="not the simplex category"):
+        les_check_ass(2, F, 1)
+    assert les_check_ass(2, M, 1)["all_exact"]
+
+
+def test_the_dual_of_a_shared_functor_is_shared():
+    base = tw_com_fast(2)
+    op = op_category(base)
+    p = 101
+    C = constant_functor(base, p)
+    M = f_operad(com(), 2, p, base=base)
+    D = dual_functor(C, op)
+    assert dual_functor(C, op) is D and D.kept.M is D
+    R = random_functor(base, p, 1)
+    assert dual_functor(R, op) is not dual_functor(R, op)
+    assert dual_functor(R, op).kept is None
+    fresh_M = LinearFunctor(base, p, M.dims, M.mats, name=M.name)
+    fresh_C = LinearFunctor(base, p, C.dims, C.mats, name=C.name)
+    for K in (1, 3, 2):
+        want = ext(fresh_M, fresh_C, K, backend="co-cover")
+        assert ext(M, C, K, backend="co-cover") == want
+        assert ext(M, C, K, backend="co-cover") == want
+        assert ext(M, R, K, backend="co-cover") == ext(fresh_M, R, K, backend="co-cover")
+    assert dual_functor(C, op) is D and len(D.kept.terms) == 5
