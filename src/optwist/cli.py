@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .linalg import FinMatrix
+from .linalg import MAX_PRIME
 from .operads import (
     FreeReducedOperad,
     UnitOperad,
@@ -125,12 +125,9 @@ def _emit(cfg: RunConfig, kind: str, payload: dict, lines,
 
 # -- argument grammars -------------------------------------------------------
 
-# F_p keeps residues in int64 numpy arrays and forms products of two of
-# them before reducing, so p * p must fit: p < 2^31 gives p * p < 2^62.
-# The bound also caps the trial division below at sqrt(p) < 46341.
-MAX_PRIME = 1 << 31
-
-
+# MAX_PRIME is the int64 bound of the dense mod-p route (see the linalg
+# module docstring); it also caps the trial division below at
+# sqrt(p) < 46341.
 def parse_field(text: str) -> int:
     if text == "q":
         return 0
@@ -143,6 +140,15 @@ def parse_field(text: str) -> int:
             raise UsageError(f"{p} is not prime")
         return p
     raise UsageError(f"bad field {text!r}; expected q or fp:P")
+
+
+def non_negative(text: str) -> int:
+    """argparse type of every size flag: a negative arity, truncation,
+    dimension, degree or trial count is a usage error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
 
 
 def parse_degrees(text: str, low: int = 0) -> tuple[int, int]:
@@ -483,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the axiom suite")
     oc.add_argument("--spec", required=True,
                     help="ass | com | unit | free:name:arity[,name:arity...]")
-    oc.add_argument("--max-arity", type=int, required=True)
+    oc.add_argument("--max-arity", type=non_negative, required=True)
     oc.set_defaults(handler=cmd_operad_check)
 
     tw = sub.add_parser("tw", help="twisted arrow categories")
@@ -491,15 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
     tb = tsub.add_parser("build", parents=[common],
                          help="materialize and dump the category")
     tb.add_argument("--operad", choices=["com", "ass"], required=True)
-    tb.add_argument("--max-arity", type=int, required=True)
+    tb.add_argument("--max-arity", type=non_negative, required=True)
     tb.set_defaults(handler=cmd_tw_build)
     tc = tsub.add_parser("certify-com", parents=[common],
                          help="certify against pointed maps")
-    tc.add_argument("--max-arity", type=int, required=True)
+    tc.add_argument("--max-arity", type=non_negative, required=True)
     tc.set_defaults(handler=cmd_tw_certify_com)
     ta = tsub.add_parser("certify-ass", parents=[common],
                          help="certify against the simplex category")
-    ta.add_argument("--max-arity", type=int, required=True)
+    ta.add_argument("--max-arity", type=non_negative, required=True)
     ta.set_defaults(handler=cmd_tw_certify_ass)
 
     sset = sub.add_parser("sset", help="simplicial set enumerations")
@@ -508,13 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="count quasi simplices per dimension")
     sq.add_argument("--input", required=True,
                     help="d0 | d1 | d2 | bd2 | grid | dump file")
-    sq.add_argument("--dim", type=int, required=True)
+    sq.add_argument("--dim", type=non_negative, required=True)
     sq.set_defaults(handler=cmd_sset_quasi)
     su = ssub.add_parser("un", parents=[common],
                          help="count unstraightening simplices over a point")
     su.add_argument("--variance", choices=["left", "right"], required=True)
     su.add_argument("--input", required=True)
-    su.add_argument("--dim", type=int, required=True)
+    su.add_argument("--dim", type=non_negative, required=True)
     su.set_defaults(handler=cmd_sset_un)
 
     ex = sub.add_parser("ext", parents=[common],
@@ -537,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     qc.add_argument("--coeff", required=True,
                     help="const:D | t | yon:X | rand:S")
     qc.add_argument("--degrees", required=True, metavar="a..b")
-    qc.add_argument("--max-arity", type=int, required=True)
+    qc.add_argument("--max-arity", type=non_negative, required=True)
     qc.add_argument("--field", default="q", help=FIELD_HELP)
     qc.add_argument("--backend", default="co-cover",
                     choices=["cover", "bar", "bar-raw", "co-cover"])
@@ -549,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Ext from the reduced dimension functor")
     gt.add_argument("--target", required=True,
                     help="t | const:D | yon:X | rand:S")
-    gt.add_argument("--trunc", type=int, required=True)
+    gt.add_argument("--trunc", type=non_negative, required=True)
     gt.add_argument("--degrees", required=True, metavar="a..b")
     gt.add_argument("--field", default="q", help=FIELD_HELP)
     gt.add_argument("--backend", default="bar",
@@ -560,9 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
     asub = asg.add_subparsers(dest="cmd", required=True)
     al = asub.add_parser("les-check", parents=[common],
                          help="long exact sequence verification")
-    al.add_argument("--trunc", type=int, required=True)
-    al.add_argument("--top-degree", type=int, required=True)
-    al.add_argument("--trials", type=int, default=5)
+    al.add_argument("--trunc", type=non_negative, required=True)
+    al.add_argument("--top-degree", type=non_negative, required=True)
+    al.add_argument("--trials", type=non_negative, default=5)
     al.add_argument("--field", default="fp:101",
                     help="fp:P, P a prime below 2^31 (default fp:101)")
     al.set_defaults(handler=cmd_ass_les_check)

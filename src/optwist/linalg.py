@@ -6,14 +6,27 @@ characteristic is carried on the matrix (``p == 0`` means exact
 rationals via ``fractions.Fraction``, ``p`` prime means ``F_p`` with
 entries normalized to ``0..p-1``).
 
-Three rank backends are kept side by side on purpose:
+Every elimination takes one of four routes:
 
-* ``gauss``: plain Gauss-Jordan over the field, works for any ``p``;
+* ``gauss``: Gauss-Jordan on lists of rows (``_rref``), over Q or F_p;
 * ``bareiss``: fraction-free integer elimination (``p == 0`` only),
   immune to any bug in ``Fraction`` pivoting since it never divides
   except exactly;
-* ``dense``: numpy int64 elimination mod ``p`` (``p > 0`` only), the
-  fast path for the larger mod-p matrices.
+* ``dense``: Gauss-Jordan on an int64 numpy array mod ``p``
+  (``_eliminate_modp``), the fast path for the larger mod-p matrices;
+* ``sparse``: mod-p elimination on dict rows (rank only), which keeps
+  memory in check where a dense array would not fit.
+
+``rank()`` takes ``dense`` when ``_dense_ok`` holds (``0 < p <
+MAX_PRIME``, an edge of at least ``_DENSE_CUTOFF`` and at most
+``_DENSE_MAX_CELLS`` cells), ``sparse`` for a mod-p matrix past
+``_DENSE_MAX_CELLS``, and ``gauss`` otherwise; ``rank(backend=...)``
+picks any of the four.  ``rref``, ``kernel_basis`` and ``solve_matrix``
+take ``dense`` under the same test and ``gauss`` otherwise.
+
+``MAX_PRIME = 2^31`` is the one bound on the characteristic: the dense
+route multiplies two residues before reducing, and for ``p < 2^31``
+that product stays below ``2^62``, inside int64.
 
 The slow backends are not dead code: tests run them against each other
 on seeded random inputs, and they stay available for spot checks.
@@ -30,10 +43,10 @@ import numpy as np
 
 Entry = tuple[int, int]
 
-# past this edge size, mod-p rank/rref work switches to the numpy path;
-# the modulus must stay small enough that p*p fits an int64 comfortably
+# a product of two residues mod p < 2^31 is below 2^62, so it fits int64
+MAX_PRIME = 1 << 31
+# past this edge size, mod-p rank/rref work switches to the numpy path
 _DENSE_CUTOFF = 48
-_DENSE_MAX_P = 1 << 20
 # dense elimination allocates nrows*ncols int64 cells; past this we fall
 # back to sparse elimination even mod p
 _DENSE_MAX_CELLS = 8_000_000
@@ -41,7 +54,7 @@ _DENSE_MAX_CELLS = 8_000_000
 
 def _dense_ok(p: int, nrows: int, ncols: int) -> bool:
     return (
-        0 < p < _DENSE_MAX_P
+        0 < p < MAX_PRIME
         and max(nrows, ncols) >= _DENSE_CUTOFF
         and nrows * ncols <= _DENSE_MAX_CELLS
     )
@@ -223,9 +236,9 @@ class FinMatrix:
                 raise ValueError("bareiss backend is for characteristic zero")
             r = _rank_bareiss(self.to_rows())
         elif backend == "dense":
-            if not self.p:
-                raise ValueError("dense backend is for mod-p matrices")
-            r = _rank_dense_modp(self.to_numpy(), self.p)
+            if not 0 < self.p < MAX_PRIME:
+                raise ValueError("dense backend is for mod-p matrices, p < 2^31")
+            r = len(_eliminate_modp(self.to_numpy(), self.p, reduced=False)[1])
         elif backend == "sparse":
             if not self.p:
                 raise ValueError("sparse backend is for mod-p matrices")
@@ -240,10 +253,7 @@ class FinMatrix:
 
     def rref(self) -> tuple[list[list], list[int]]:
         """Reduced row echelon form (rows, pivot column indices)."""
-        if _dense_ok(self.p, self.nrows, self.ncols):
-            arr, pivots = _rref_dense_modp(self.to_numpy(), self.p)
-            return [list(map(int, row)) for row in arr], pivots
-        return _rref(self.to_rows(), self.p)
+        return _reduce(self)
 
     def kernel_basis(self) -> "FinMatrix":
         """Matrix whose columns form a basis of the null space."""
@@ -264,12 +274,7 @@ class FinMatrix:
         """Some X with self @ X = rhs, or None when inconsistent."""
         if rhs.nrows != self.nrows or rhs.p != self.p:
             raise ValueError("shapes or fields do not match")
-        aug = self.hstack(rhs)
-        if _dense_ok(self.p, aug.nrows, aug.ncols):
-            arr, pivots = _rref_dense_modp(aug.to_numpy(), self.p, pivot_limit=self.ncols)
-            rows = [list(map(int, row)) for row in arr]
-        else:
-            rows, pivots = _rref(aug.to_rows(), self.p, pivot_limit=self.ncols)
+        rows, pivots = _reduce(self.hstack(rhs), pivot_limit=self.ncols)
         r = len(pivots)
         for i in range(r, self.nrows):
             if any(rows[i][self.ncols + j] != 0 for j in range(rhs.ncols)):
@@ -287,6 +292,16 @@ class FinMatrix:
         return None if x is None else x.column(0)
 
 
+def _reduce(m: FinMatrix, pivot_limit: int | None = None):
+    """Reduced row echelon form of ``m`` as (rows of ints or Fractions,
+    pivots), by the dense route when ``_dense_ok`` and by ``_rref``
+    otherwise."""
+    if _dense_ok(m.p, m.nrows, m.ncols):
+        arr, pivots = _eliminate_modp(m.to_numpy(), m.p, pivot_limit)
+        return arr.tolist(), pivots
+    return _rref(m.to_rows(), m.p, pivot_limit)
+
+
 def _rref(rows: list[list], p: int, pivot_limit: int | None = None):
     """In-place reduced row echelon form over F_p or Q.
 
@@ -296,10 +311,6 @@ def _rref(rows: list[list], p: int, pivot_limit: int | None = None):
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     limit = ncols if pivot_limit is None else pivot_limit
-    if p:
-        inv = lambda x: pow(x, p - 2, p)
-    else:
-        inv = lambda x: Fraction(1) / x
     pivots: list[int] = []
     r = 0
     for c in range(limit):
@@ -307,26 +318,20 @@ def _rref(rows: list[list], p: int, pivot_limit: int | None = None):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        iv = inv(rows[r][c])
-        if p:
-            rows[r] = [(x * iv) % p for x in rows[r]]
-            for i in range(nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        else:
-            # rational rows are mostly zeros: scale and subtract only
-            # along the pivot row's nonzero columns
-            prow = rows[r]
-            support = [(j, x * iv) for j, x in enumerate(prow) if x]
-            for j, x in support:
-                prow[j] = x
-            for i in range(nrows):
-                row = rows[i]
-                f = row[c]
-                if i != r and f != 0:
-                    for j, b in support:
-                        row[j] -= f * b
+        prow = rows[r]
+        iv = pow(prow[c], p - 2, p) if p else Fraction(1) / prow[c]
+        # rows are mostly zeros: scale and subtract only along the
+        # pivot row's nonzero columns
+        support = [(j, x * iv % p if p else x * iv) for j, x in enumerate(prow) if x]
+        for j, x in support:
+            prow[j] = x
+        for i in range(nrows):
+            row = rows[i]
+            f = row[c]
+            if i != r and f != 0:
+                for j, b in support:
+                    v = row[j] - f * b
+                    row[j] = v % p if p else v
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -370,31 +375,6 @@ def _rank_bareiss(rows: list[list]) -> int:
     return r
 
 
-def _rank_dense_modp(a: np.ndarray, p: int) -> int:
-    a = np.mod(a, p)
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        iv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * iv) % p
-        rest = a[r + 1 :, c:]
-        factors = a[r + 1 :, c]
-        if factors.any():
-            rest -= np.outer(factors, a[r, c:])
-            np.mod(rest, p, out=rest)
-        r += 1
-    return r
-
-
 def _rank_sparse_modp(entries: dict, nrows: int, ncols: int, p: int) -> int:
     """Sparse mod-p elimination keeping rows as dicts and a live column
     index.  Pivots prefer the sparsest row (row id breaks ties) to slow
@@ -433,7 +413,12 @@ def _rank_sparse_modp(entries: dict, nrows: int, ncols: int, p: int) -> int:
     return rank
 
 
-def _rref_dense_modp(a: np.ndarray, p: int, pivot_limit: int | None = None):
+def _eliminate_modp(a: np.ndarray, p: int, pivot_limit: int | None = None,
+                    reduced: bool = True):
+    """Gauss-Jordan mod p on an int64 array (p < MAX_PRIME), as (array,
+    pivots).  Pivots are only sought in columns < pivot_limit.  With
+    ``reduced=False`` only the rows below each pivot are cleared, which
+    leaves an echelon form with the same pivots: enough for a rank."""
     a = np.mod(a, p)
     nrows, ncols = a.shape
     limit = ncols if pivot_limit is None else pivot_limit
@@ -450,10 +435,14 @@ def _rref_dense_modp(a: np.ndarray, p: int, pivot_limit: int | None = None):
             a[[r, piv]] = a[[piv, r]]
         iv = pow(int(a[r, c]), p - 2, p)
         a[r, c:] = (a[r, c:] * iv) % p
-        others = np.nonzero(a[:, c])[0]
-        for i in others:
-            if i != r:
-                a[i, c:] = (a[i, c:] - a[i, c] * a[r, c:]) % p
+        top = 0 if reduced else r + 1
+        rest = a[top:, c:]
+        factors = rest[:, 0].copy()
+        if reduced:
+            factors[r] = 0
+        if factors.any():
+            rest -= np.outer(factors, a[r, c:])
+            np.mod(rest, p, out=rest)
         pivots.append(c)
         r += 1
     return a, pivots

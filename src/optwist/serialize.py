@@ -26,7 +26,7 @@ from .linalg import FinMatrix
 from .operads import ass
 from .pointed import MonotoneMap, Permutation, PointedMap
 from .qcohom import LinearFunctor, delta_category, gamma_category
-from .sset import FinSimplicialSet, MonotoneMap as _MM, Simp  # noqa: F401
+from .sset import FinSimplicialSet, Simp
 from .twisted import FinCategory, tw_category, tw_com_fast
 
 SCHEMA_VERSION = 1

@@ -46,6 +46,26 @@ def test_unknown_flag_exits_2():
     assert main(["tw", "certify-com", "--max-arity", "2", "--frob"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["operad", "check", "--spec", "com", "--max-arity", "-1"],
+    ["tw", "build", "--operad", "com", "--max-arity", "-1"],
+    ["tw", "certify-com", "--max-arity", "-1"],
+    ["tw", "certify-ass", "--max-arity", "-1"],
+    ["sset", "quasi", "--input", "d2", "--dim", "-1"],
+    ["sset", "un", "--variance", "left", "--input", "d2", "--dim", "-1"],
+    ["qcohom", "--operad", "com", "--coeff", "t", "--degrees", "0..1",
+     "--max-arity", "-1"],
+    ["gamma", "ext-t", "--target", "t", "--trunc", "-1", "--degrees", "0..1"],
+    ["ass", "les-check", "--trunc", "-1", "--top-degree", "1"],
+    ["ass", "les-check", "--trunc", "2", "--top-degree", "-1", "--trials", "1"],
+    ["ass", "les-check", "--trunc", "2", "--top-degree", "1", "--trials", "-1"],
+], ids=lambda argv: " ".join(argv[:2] + [argv[argv.index("-1") - 1]]))
+def test_negative_sizes_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be non-negative" in err and "Traceback" not in err
+
+
 def test_certify_com_trivial_cap():
     assert main(["tw", "certify-com", "--max-arity", "0"]) == 0
 

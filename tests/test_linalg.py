@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from optwist.linalg import CochainComplex, FinMatrix, random_sparse
+from optwist.linalg import (
+    _DENSE_CUTOFF,
+    CochainComplex,
+    FinMatrix,
+    _dense_ok,
+    _eliminate_modp,
+    _rref,
+    random_sparse,
+)
 
 
 def test_entry_normalization():
@@ -63,6 +71,9 @@ def test_rank_backend_field_guards():
         random_sparse(3, 3, 0.5, seed=0).rank(backend="dense")
     with pytest.raises(ValueError):
         random_sparse(3, 3, 0.5, seed=0).rank(backend="sparse")
+    # residue products past 2^62 would overflow the int64 arrays
+    with pytest.raises(ValueError):
+        random_sparse(3, 3, 0.5, seed=0, p=2**31 + 11).rank(backend="dense")
 
 
 def test_rank_small_knowns():
@@ -131,3 +142,23 @@ def test_cochain_complex_rejects_nonzero_square():
     d1 = FinMatrix.from_rows([[1, 0]])
     with pytest.raises(ValueError):
         CochainComplex([1, 2, 1], [d0, d1])
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+@pytest.mark.parametrize("shape", [(47, 40), (48, 30), (60, 55), (30, 80)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_dense_rref_matches_list_rref(p, shape):
+    # a product through a narrow middle is rank-deficient, so pivots
+    # skip columns and rows above a pivot carry entries to clear
+    nrows, ncols = shape
+    mid = min(shape) // 2
+    m = random_sparse(nrows, mid, 0.3, seed=nrows, p=p) @ \
+        random_sparse(mid, ncols, 0.3, seed=ncols, p=p)
+    assert _dense_ok(p, nrows, ncols) == (max(shape) >= _DENSE_CUTOFF)
+    rows, pivots = m.rref()
+    assert (rows, pivots) == _rref(m.to_rows(), p)
+    assert 0 < len(pivots) <= mid
+    limit = ncols // 2
+    arr, lim_pivots = _eliminate_modp(m.to_numpy(), p, pivot_limit=limit)
+    assert (arr.tolist(), lim_pivots) == _rref(m.to_rows(), p, pivot_limit=limit)
+    assert m.rank(backend="dense") == m.rank(backend="gauss") == len(pivots)
