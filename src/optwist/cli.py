@@ -189,7 +189,7 @@ def resolve_base(spec: str):
     """A base is either a builder hint or a category dump on disk."""
     if _BASE_RE.fullmatch(spec):
         return build_base(spec), spec
-    if os.path.exists(spec):
+    if os.path.isfile(spec):
         doc = load_json(spec)
         if doc.get("kind") != "category":
             raise UsageError(f"{spec} is not a category dump")
@@ -244,13 +244,16 @@ def parse_functor(spec: str, base, hint: str, p: int, seed) -> LinearFunctor:
         return random_functor(base, p, s)
     if spec.startswith("file:"):
         path = spec[5:]
+        if not os.path.isfile(path):
+            raise UsageError(f"no functor dump at {path}")
         doc = load_json(path)
         if doc.get("kind") != "functor":
             raise UsageError(f"{path} is not a functor dump")
-        if doc["payload"]["base"] != hint:
+        # a dump without a base hint is malformed, and load_functor says so
+        stored = doc["payload"].get("base", hint)
+        if stored != hint:
             raise UsageError(
-                f"functor base {doc['payload']['base']} does not match "
-                f"the requested base {hint}")
+                f"functor base {stored} does not match the requested base {hint}")
         F = load_functor(doc)
         if F.p != p:
             raise UsageError(f"functor field fp:{F.p or 'q'} does not "
@@ -271,7 +274,7 @@ _CORPUS = {
 def resolve_sset(spec: str):
     if spec in _CORPUS:
         return _CORPUS[spec]()
-    if os.path.exists(spec):
+    if os.path.isfile(spec):
         doc = load_json(spec)
         if doc.get("kind") != "sset":
             raise UsageError(f"{spec} is not a simplicial set dump")

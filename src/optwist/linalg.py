@@ -24,6 +24,14 @@ MAX_PRIME``, an edge of at least ``_DENSE_CUTOFF`` and at most
 picks any of the four.  ``rref``, ``kernel_basis`` and ``solve_matrix``
 take ``dense`` under the same test and ``gauss`` otherwise.
 
+``Echelon`` is the incremental route: it grows a span one vector at a
+time and answers membership with an exact residue, for the spans that
+functor closures and resolution covers build.  It stores each row as
+its nonzero (column, value) pairs, over Q and F_p alike; on the small
+vectors it sees, that beats a numpy row, whose cost is call overhead.
+It and ``gauss`` subtract a multiple of a pivot row through one row
+update, ``_row_update``, which reduces mod p over F_p.
+
 ``MAX_PRIME = 2^31`` is the one bound on the characteristic: the dense
 route multiplies two residues before reducing, and for ``p < 2^31``
 that product stays below ``2^62``, inside int64.
@@ -35,6 +43,7 @@ on seeded random inputs, and they stay available for spot checks.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -319,24 +328,94 @@ def _rref(rows: list[list], p: int, pivot_limit: int | None = None):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        iv = pow(prow[c], p - 2, p) if p else Fraction(1) / prow[c]
         # rows are mostly zeros: scale and subtract only along the
         # pivot row's nonzero columns
-        support = [(j, x * iv % p if p else x * iv) for j, x in enumerate(prow) if x]
+        support = _unit_support(prow, c, p)
         for j, x in support:
             prow[j] = x
         for i in range(nrows):
-            row = rows[i]
-            f = row[c]
+            f = rows[i][c]
             if i != r and f != 0:
-                for j, b in support:
-                    v = row[j] - f * b
-                    row[j] = v % p if p else v
+                _row_update(rows[i], f, support, p)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return rows, pivots
+
+
+def _unit_support(row: list, c: int, p: int) -> list:
+    """The nonzero (column, value) pairs of row, scaled so that column c
+    reads 1."""
+    iv = pow(row[c], p - 2, p) if p else Fraction(1) / row[c]
+    return [(j, x * iv % p if p else x * iv) for j, x in enumerate(row) if x]
+
+
+def _row_update(row: list, f, support: list, p: int) -> None:
+    """row -= f * r in place, r the row whose nonzero (column, value)
+    pairs are ``support``; reduced mod p over F_p.  Only the columns of
+    the support are touched."""
+    if p:
+        for j, b in support:
+            row[j] = (row[j] - f * b) % p
+    else:
+        for j, b in support:
+            row[j] -= f * b
+
+
+class Echelon:
+    """Incremental row-echelon span tracker with exact membership residues.
+
+    Rows are stored normalized with strictly increasing pivot columns
+    and zeros left of each pivot, so reducing a vector against the rows
+    in pivot order is a valid membership test without back-reduction.
+    A row is kept as its nonzero (column, value) pairs over Q and F_p
+    alike, so a reduction step (``_row_update``) touches only the
+    columns where the row is nonzero.
+    """
+
+    __slots__ = ("dim", "p", "rows")
+
+    def __init__(self, dim: int, p: int):
+        self.dim = dim
+        self.p = p
+        self.rows: list = []  # (pivot column, support), sorted by pivot
+
+    def residue(self, vec) -> list:
+        """vec reduced by the rows in pivot order: zero on every pivot
+        column, and zero exactly when vec lies in the span.  Over F_p
+        the coordinates come back in 0..p-1; over Q an int coordinate
+        stays an int until a row touches it, since an int minus a
+        Fraction is the exact Fraction."""
+        p = self.p
+        arr = [v % p for v in vec] if p else list(vec)
+        for c, support in self.rows:
+            f = arr[c]
+            if f:
+                _row_update(arr, f, support, p)
+        return arr
+
+    def contains(self, vec) -> bool:
+        return not any(self.residue(vec))
+
+    def insert(self, vec) -> bool:
+        """Add vec to the span; True when it was a new direction."""
+        red = self.residue(vec)
+        c = next((j for j, v in enumerate(red) if v), None)
+        if c is None:
+            return False
+        insort(self.rows, (c, _unit_support(red, c, self.p)), key=lambda t: t[0])
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def matrix(self) -> FinMatrix:
+        """The stored rows as a rank x dim matrix, in pivot order."""
+        entries = {(r, j): v for r, (_, support) in enumerate(self.rows)
+                   for j, v in support}
+        return FinMatrix(len(self.rows), self.dim, entries, self.p)
 
 
 def _rank_bareiss(rows: list[list]) -> int:

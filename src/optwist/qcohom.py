@@ -41,14 +41,11 @@ at; nothing here claims convergence in the truncation.
 from __future__ import annotations
 
 import random
-from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-import numpy as np
-
-from .linalg import CochainComplex, FinMatrix
+from .linalg import CochainComplex, Echelon, FinMatrix
 from .operads import DiscreteOperad
 from .pointed import (
     MonotoneMap,
@@ -465,7 +462,7 @@ def _action_closure(P: LinearFunctor, raw: list) -> dict:
     a functor on an associative base, as every generator check does
     (see ``generating_morphisms``)."""
     p = P.p
-    spans = {y: _Echelon(P.dims[y], p) for y in P.base.objects}
+    spans = {y: Echelon(P.dims[y], p) for y in P.base.objects}
     arrows, gens_from = P.base.arrows(), {}
     for g in generating_ids(P.base):
         gens_from.setdefault(arrows[g][0], []).append(g)
@@ -475,7 +472,7 @@ def _action_closure(P: LinearFunctor, raw: list) -> dict:
         if not spans[y].insert(vec):
             continue
         for g in gens_from.get(y, ()):
-            frontier.append((arrows[g][1], _apply(P.mats[g], list(vec), p)))
+            frontier.append((arrows[g][1], _apply(P.mats[g], vec, p)))
     return spans
 
 
@@ -513,84 +510,6 @@ def _quotient_functor(P: LinearFunctor, sub: dict, name="") -> LinearFunctor:
         dims[y] = len(free)
     mats = [proj[m[1]] @ (mat @ incl[m[0]]) for m, mat in zip(P.base.arrows(), P.mats)]
     return LinearFunctor(P.base, p, dims, mats, name=name)
-
-
-# -- incremental span tracking ----------------------------------------------
-
-
-class _Echelon:
-    """Row-echelon span tracker with exact membership residues.
-
-    Rows are stored normalized with strictly increasing pivot columns
-    and zeros left of each pivot, so reducing a vector against the rows
-    in pivot order is a valid membership test without back-reduction.
-    Mod-p rows live in numpy for speed; a rational row is kept as its
-    nonzero (column, value) pairs, so a reduction step touches only
-    the columns where the row is nonzero.
-    """
-
-    __slots__ = ("dim", "p", "rows")
-
-    def __init__(self, dim: int, p: int):
-        self.dim = dim
-        self.p = p
-        self.rows: list = []  # (pivot_col, normalized row), sorted
-
-    def residue(self, vec):
-        if self.p:
-            arr = np.asarray(vec, dtype=np.int64) % self.p
-            for c, row in self.rows:
-                f = int(arr[c])
-                if f:
-                    arr = (arr - f * row) % self.p
-            return arr
-        # int coordinates stay ints until a row touches them: an int
-        # minus a Fraction is the exact Fraction, and rows are Fractions
-        arr = list(vec)
-        for c, support in self.rows:
-            f = arr[c]
-            if f:
-                for j, b in support:
-                    arr[j] -= f * b
-        return arr
-
-    def contains(self, vec) -> bool:
-        red = self.residue(vec)
-        return not red.any() if self.p else not any(red)
-
-    def insert(self, vec) -> bool:
-        """Add vec to the span; True when it was a new direction."""
-        red = self.residue(vec)
-        if self.p:
-            nz = np.nonzero(red)[0]
-            if nz.size == 0:
-                return False
-            c = int(nz[0])
-            row = (red * pow(int(red[c]), self.p - 2, self.p)) % self.p
-        else:
-            c = next((i for i, v in enumerate(red) if v), None)
-            if c is None:
-                return False
-            inv = Fraction(1) / red[c]
-            row = [(j, v * inv) for j, v in enumerate(red) if v]
-        insort(self.rows, (c, row), key=lambda t: t[0])
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def matrix(self) -> FinMatrix:
-        """The stored rows as a rank x dim matrix, in pivot order."""
-        entries = {}
-        for r, (_, row) in enumerate(self.rows):
-            if self.p:
-                for j in np.nonzero(row)[0].tolist():
-                    entries[(r, j)] = int(row[j])
-            else:
-                for j, v in row:
-                    entries[(r, j)] = v
-        return FinMatrix(len(self.rows), self.dim, entries, self.p)
 
 
 # -- projective resolutions ------------------------------------------------
@@ -664,25 +583,18 @@ class Resolution:
             _, shifts = self.term_basis(k, y)
             idx = [s + fh for x, s in zip(self.terms[k], shifts)
                    for fh in self.base.post_ids(f, x)]
-            if self.p:
-                idx = np.asarray(idx, dtype=np.int64)
             self._push_idx[(k, f)] = idx
         if isinstance(vec, dict):
             out = {}
             for pos, c in vec.items():
-                r = int(idx[pos])
+                r = idx[pos]
                 out[r] = out.get(r, 0) + c
             return out
-        dim = self.term_dim(k, y)
-        if self.p:
-            out = np.zeros(dim, dtype=np.int64)
-            np.add.at(out, idx, np.asarray(vec, dtype=np.int64))
-            return out % self.p
-        out = [0] * dim
+        out = [0] * self.term_dim(k, y)
         for pos, c in enumerate(vec):
             if c:
                 out[idx[pos]] += c
-        return out
+        return [v % self.p for v in out] if self.p else out
 
     def realize(self, k: int, y) -> FinMatrix:
         """Matrix of d_k at y: T_k(y) -> T_{k-1}(y), d_0 being the
@@ -849,7 +761,7 @@ def _greedy_cover(res: Resolution, k: int, targets_fn, seeds=()) -> list:
     leave the walk nothing to add.
     """
     base = res.base
-    spans = {y: _Echelon(res.term_dim(k, y), res.p) for y in base.objects}
+    spans = {y: Echelon(res.term_dim(k, y), res.p) for y in base.objects}
     gens = []
 
     def offer(x, t):

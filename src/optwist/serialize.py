@@ -18,8 +18,9 @@ subtly wrong.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .encodings import IbMorphism
 from .linalg import FinMatrix
@@ -34,6 +35,20 @@ SCHEMA_VERSION = 1
 
 class SchemaError(Exception):
     pass
+
+
+def _reads_dump(load):
+    """``load`` with a document it cannot read reported as SchemaError:
+    a missing key, a value of the wrong type or a bad value anywhere in
+    a dump makes the dump malformed, not the library faulty."""
+    @wraps(load)
+    def read(doc):
+        try:
+            return load(doc)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
+            raise SchemaError(f"malformed dump: {type(exc).__name__}: {exc}") from exc
+    return read
 
 
 def make_meta(p, truncation, backend: str, seed: int) -> dict:
@@ -72,8 +87,15 @@ def dump_json(doc: dict, path) -> None:
 
 
 def load_json(path) -> dict:
+    """The artifact stored at path: a JSON object of the supported
+    schema version whose payload is an object, else SchemaError."""
     with open(path, "rb") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("payload"), dict):
+        raise SchemaError(f"{path} is not an artifact with an object payload")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(
@@ -163,11 +185,19 @@ def matrix_to_json(A: FinMatrix) -> dict:
 
 
 def matrix_from_json(d: dict) -> FinMatrix:
+    """Inverse of matrix_to_json.  An F_p entry must be an int: reducing
+    a fraction by ``int(v) % p`` would read 205/2 as 1 in F_101, where
+    it is 52."""
     entries = {(i, j): decode(v) for i, j, v in d["entries"]}
+    if d["p"] and any(type(v) is not int for v in entries.values()):
+        raise SchemaError(f"an entry of an fp:{d['p']} matrix is not an integer")
     return FinMatrix(d["nrows"], d["ncols"], entries, d["p"])
 
 
 # -- categories -------------------------------------------------------------
+
+_HINT_RE = re.compile(r"empty|(gamma|delta):\d+|tw:(com|ass):\d+")
+
 
 @lru_cache(maxsize=16)
 def build_base(hint: str) -> FinCategory:
@@ -181,7 +211,9 @@ def build_base(hint: str) -> FinCategory:
     uses.  Only what a hint builds is cached: ``load_category`` and
     ``load_functor`` compare every decoded hom set and check every
     decoded functor against the cached base, and nothing decoded is
-    kept."""
+    kept.  Any other hint is a SchemaError."""
+    if not isinstance(hint, str) or not _HINT_RE.fullmatch(hint):
+        raise SchemaError(f"unknown category hint {hint!r}")
     parts = hint.split(":")
     if parts == ["empty"]:
         return FinCategory(
@@ -201,7 +233,6 @@ def build_base(hint: str) -> FinCategory:
             return tw_com_fast(N)
         if name == "ass":
             return tw_category(ass(), N)
-    raise SchemaError(f"unknown category hint {hint!r}")
 
 
 def category_payload(C: FinCategory, hint: str) -> dict:
@@ -225,6 +256,7 @@ def encode_key(x) -> str:
     return json.dumps(encode(x), sort_keys=True)
 
 
+@_reads_dump
 def load_category(doc: dict) -> FinCategory:
     """Rebuild the category named by the dump and certify the dump
     against it; returns the rebuilt (fully composable) category."""
@@ -264,6 +296,7 @@ def functor_payload(F: LinearFunctor, hint: str) -> dict:
     }
 
 
+@_reads_dump
 def load_functor(doc: dict) -> LinearFunctor:
     """Rebuild the base named by the dump and the functor on it.  The
     dump must list exactly the rebuilt base's objects, in order, and
@@ -329,6 +362,7 @@ def simp_from_json(d: dict) -> Simp:
                 MonotoneMap.from_json(d["epi"]))
 
 
+@_reads_dump
 def sset_from_json(d: dict) -> FinSimplicialSet:
     """Inverse of FinSimplicialSet.to_json."""
     cells: dict = {}

@@ -2,12 +2,13 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from optwist import serialize as ser
 from optwist.cli import main
-from optwist.qcohom import gamma_t
+from optwist.qcohom import constant_functor, gamma_t
 from optwist.twisted import tw_com_fast
 
 
@@ -138,10 +139,12 @@ def test_functor_round_trip_and_file_source(tmp_path):
                  "--field", "fp:101"]) == 2
 
 
-@pytest.mark.parametrize("tamper", ["drop-matrix", "drop-dim", "bogus-src", "not-a-functor"])
+@pytest.mark.parametrize("tamper", ["drop-matrix", "drop-dim", "bogus-src", "not-a-functor",
+                                    "no-mats", "payload-list", "not-json"])
 def test_malformed_functor_dump_is_certified_failure(tmp_path, capsys, tamper):
     # loading rebuilds the base and requires exactly its objects, one
-    # matrix per arrow of it, and matrices that form a functor
+    # matrix per arrow of it, and matrices that form a functor; a dump
+    # that cannot even be read fails the same way, without a traceback
     path = tmp_path / "t2.json"
     ser.persist(gamma_t(2), path, ser.make_meta(0, 2, "none", 0), hint="gamma:2")
     doc = read_json(path)
@@ -154,14 +157,83 @@ def test_malformed_functor_dump_is_certified_failure(tmp_path, capsys, tamper):
         entry = next(e for e in payload["mats"]
                      if e["src"] != e["tgt"] and e["matrix"]["entries"])
         entry["matrix"]["entries"][0][2] = 5
-    else:
+    elif tamper == "no-mats":
+        del payload["mats"]
+    elif tamper == "payload-list":
+        doc["payload"] = [payload]
+    elif tamper == "bogus-src":
         payload["mats"].append(dict(payload["mats"][0], src=ser.encode(7)))
-    path.write_text(json.dumps(doc))
+    path.write_text("{not json" if tamper == "not-json" else json.dumps(doc))
     with pytest.raises(ser.SchemaError):
         ser.load(path)
     capsys.readouterr()
     assert main(["ext", "--base", "gamma:2", "--source", "t",
                  "--target", f"file:{path}", "--degrees", "0..1"]) == 1
+    assert "FAIL:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper", ["no-homs", "payload-list", "bad-hint", "list-hint",
+                                    "not-json"])
+def test_malformed_category_dump_is_certified_failure(tmp_path, capsys, tamper):
+    path = tmp_path / "tw2.json"
+    assert main(["tw", "build", "--operad", "com", "--max-arity", "2",
+                 "--out", str(path)]) == 0
+    doc = read_json(path)
+    if tamper == "no-homs":
+        del doc["payload"]["homs"]
+    elif tamper == "payload-list":
+        doc["payload"] = [doc["payload"]]
+    elif tamper == "bad-hint":
+        doc["payload"]["base"] = "tw:com:x"
+    elif tamper == "list-hint":
+        doc["payload"]["base"] = ["tw", "com", 2]
+    path.write_text("{not json" if tamper == "not-json" else json.dumps(doc))
+    with pytest.raises(ser.SchemaError):
+        ser.load(path)
+    capsys.readouterr()
+    assert main(["ext", "--base", str(path), "--source", "const:1",
+                 "--target", "const:1", "--degrees", "0..0"]) == 1
+    assert "FAIL:" in capsys.readouterr().err
+
+
+def test_malformed_sset_dump_is_certified_failure(tmp_path, capsys):
+    from optwist.sset import boundary_simplex
+    path = tmp_path / "bd2.json"
+    payload = boundary_simplex(2).to_json()
+    del payload["nondegenerate"]
+    ser.dump_json(ser.artifact("sset", payload, ser.make_meta(None, 2, "none", 0)), path)
+    assert main(["sset", "quasi", "--input", str(path), "--dim", "1"]) == 1
+    assert "FAIL:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["absent.json", "a-directory"])
+def test_dump_path_that_is_not_a_file_is_usage_error(tmp_path, capsys, name):
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / name
+    assert main(["ext", "--base", "gamma:2", "--source", "t", "--target",
+                 f"file:{path}", "--degrees", "0..1"]) == 2
+    assert main(["ext", "--base", str(path), "--source", "const:1",
+                 "--target", "const:1", "--degrees", "0..0"]) == 2
+    assert main(["sset", "quasi", "--input", str(path), "--dim", "1"]) == 2
+    assert capsys.readouterr().err.count("usage error") == 3
+
+
+def test_fractional_entry_in_fp_dump_is_refused(tmp_path, capsys):
+    # 205/2 is 52 in F_101; read as int(205/2) % 101 it would be 1, and
+    # the tampered dump would load as the constant functor it came from
+    path = tmp_path / "const.json"
+    ser.persist(constant_functor(ser.build_base("gamma:2"), 101), path,
+                ser.make_meta(101, 2, "none", 0), hint="gamma:2")
+    doc = read_json(path)
+    entry = next(e for e in doc["payload"]["mats"] if e["matrix"]["entries"])
+    assert entry["matrix"]["entries"][0][2] == 1
+    entry["matrix"]["entries"][0][2] = ser.encode(Fraction(205, 2))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ser.SchemaError, match="not an integer"):
+        ser.load(path)
+    capsys.readouterr()
+    assert main(["ext", "--base", "gamma:2", "--source", "t", "--target",
+                 f"file:{path}", "--degrees", "0..1", "--field", "fp:101"]) == 1
     assert "FAIL:" in capsys.readouterr().err
 
 

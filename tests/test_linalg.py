@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from optwist.linalg import (
     _DENSE_CUTOFF,
     CochainComplex,
+    Echelon,
     FinMatrix,
     _dense_ok,
     _eliminate_modp,
@@ -162,3 +164,35 @@ def test_dense_rref_matches_list_rref(p, shape):
     arr, lim_pivots = _eliminate_modp(m.to_numpy(), p, pivot_limit=limit)
     assert (arr.tolist(), lim_pivots) == _rref(m.to_rows(), p, pivot_limit=limit)
     assert m.rank(backend="dense") == m.rank(backend="gauss") == len(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_echelon_matches_gauss_rank_modp(p):
+    # seeded vectors with coordinates outside 0..p-1, some of them sums
+    # of earlier ones so that the span stalls; each step is checked
+    # against a Gauss rank of everything inserted so far
+    rng = random.Random(p)
+
+    def rank(rows):
+        return FinMatrix.from_rows(rows, p).rank(backend="gauss") if rows else 0
+
+    for _ in range(40):
+        dim = rng.randrange(1, 9)
+        ech, inserted = Echelon(dim, p), []
+        for _ in range(rng.randrange(1, 2 * dim + 2)):
+            if len(inserted) >= 2 and rng.random() < 0.4:
+                a, b = rng.sample(inserted, 2)
+                vec = [x + y for x, y in zip(a, b)]
+            else:
+                vec = [rng.choice((0, 0, rng.randrange(-p, 2 * p))) for _ in range(dim)]
+            before = rank(inserted)
+            raises = rank(inserted + [vec]) > before
+            assert ech.contains(vec) == (not raises)
+            red = ech.residue(vec)
+            assert all(0 <= v < p for v in red)
+            assert all(red[c] == 0 for c, _ in ech.rows)
+            in_span = [(x - y) % p for x, y in zip(vec, red)]
+            assert rank(inserted + [in_span]) == before
+            assert ech.insert(vec) == raises
+            inserted.append(vec)
+            assert ech.rank == rank(inserted)

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optwist.linalg import FinMatrix
+from optwist.linalg import Echelon, FinMatrix
 from optwist.operads import ass, com
 from optwist.pointed import PointedMap
 from optwist.qcohom import (
     LinearFunctor,
     Resolution,
     ResolutionError,
-    _Echelon,
     _action_closure,
     _apply,
     _generating_morphisms,
@@ -557,7 +556,7 @@ def test_action_closure_is_closed_under_every_arrow(p):
 
 def _quotient_by_columns(P, spans):
     """P / S with each basis column of each P(m) reduced on its own by
-    ``_Echelon.residue`` and read off on the columns free of pivots."""
+    ``Echelon.residue`` and read off on the columns free of pivots."""
     p = P.p
     free = {}
     for y in P.base.objects:
@@ -721,7 +720,7 @@ def test_ext_and_hom_solver_refuse_mismatched_bases():
 
 def _residue_converting(ech, vec):
     """The rational residue with every coordinate made a Fraction first,
-    as ``_Echelon.residue`` once computed it."""
+    as ``Echelon.residue`` once computed it."""
     arr = [Fraction(v) for v in vec]
     for c, support in ech.rows:
         f = arr[c]
@@ -743,7 +742,7 @@ def test_rational_residue_matches_converting_oracle():
     checked = 0
     for _ in range(200):
         dim = rng.randrange(1, 8)
-        ech = _Echelon(dim, 0)
+        ech = Echelon(dim, 0)
         for _ in range(rng.randrange(dim + 1)):
             ech.insert(vector(dim, rng.random() < 0.5))
         for rational in (False, True):
