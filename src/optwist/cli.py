@@ -299,6 +299,9 @@ def cmd_operad_check(args) -> int:
 
 
 def cmd_tw_build(args) -> int:
+    if not args.out or args.out.endswith(".csv"):
+        raise UsageError("tw build writes a category dump; "
+                         "give --out with a .json output path")
     N = args.max_arity
     hint = f"tw:{args.operad}:{N}"
     C = build_base(hint)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .linalg import CochainComplex, Echelon, FinMatrix
 from .operads import DiscreteOperad
@@ -147,12 +147,15 @@ class LinearFunctor:
     functor; ``_representables`` sets them and stage 0 offers them
     first, but the cover never relies on them (see ``_greedy_cover``).
     ``kept`` is the cover resolution a functor shared per base keeps
-    (see ``_shared``), else None.  A functor is never changed after
-    construction; only its kept resolution grows, by whole stages.
+    (see ``_shared``), else None.  A sum of representables also keeps
+    the index table its matrices were made from, as ``index`` (see
+    ``_yoneda_sum``).  A functor is never changed after construction;
+    only its kept resolution grows, by whole stages.
     """
 
     generators: tuple = ()
     kept: Resolution | None = None
+    index: list | None = None
 
     def __init__(self, base, p, dims, mats, name=""):
         self.base = base
@@ -163,6 +166,13 @@ class LinearFunctor:
         self._validate()
 
     def _validate(self):
+        """Identities, shapes, and F(g o f) = F(g) F(f) for every
+        generator g and every f into its source, in that order.  The
+        product is ``FinMatrix.__matmul__``'s, written out: each entry
+        (k, j) of F(f) meets column k of F(g), read once per g, and the
+        sums are reduced mod p and stripped of zeros, so the comparison
+        with F(g o f) is the one ``FinMatrix.__eq__`` makes, without
+        building a matrix per pair."""
         base, dims, p, mats = self.base, self.dims, self.p, self.mats
         arrows = base.arrows()
         if len(mats) != len(arrows):
@@ -174,11 +184,22 @@ class LinearFunctor:
             if (mat.nrows, mat.ncols) != (dims[m[1]], dims[m[0]]):
                 raise ValueError(f"matrix shape mismatch at {m!r}")
         for g in generating_ids(base):
-            mg, src = mats[g], arrows[g][0]
+            src = arrows[g][0]
+            gcols = [[] for _ in range(dims[src])]
+            for (i, k), v in mats[g].entries.items():
+                gcols[k].append((i, v))
             for x in base.objects:
                 start = base.hom_start(x, src)
                 for f, gf in enumerate(base.post_ids(g, x), start):
-                    if mats[gf] != mg @ mats[f]:
+                    acc = {}
+                    for (k, j), v in mats[f].entries.items():
+                        for i, w in gcols[k]:
+                            acc[(i, j)] = acc.get((i, j), 0) + w * v
+                    if p:
+                        acc = {ij: v % p for ij, v in acc.items() if v % p}
+                    else:
+                        acc = {ij: v for ij, v in acc.items() if v}
+                    if mats[gf].entries != acc:
                         raise ValueError(
                             f"functoriality fails at {arrows[g]!r} o {arrows[f]!r}")
 
@@ -343,20 +364,54 @@ def representable(base: FinCategory, x, p: int = 0) -> LinearFunctor:
     return _representables(base, (x,), p, f"yon({x!r})")
 
 
+def _yoneda_index(base: FinCategory, xs: tuple, g: int) -> list:
+    """The index map of arrow id g on k[Hom(x_1, -)] + ... +
+    k[Hom(x_r, -)]: g sends basis position j at its source to position
+    idx[j] at its target.
+
+    The basis of block x at y is hom(x, y) in hom order, blocks in xs
+    order, so the basis arrow h of block x sits at its block's offset
+    plus h - ``hom_start(x, y)``.  The matrix of g sends h to g o h in
+    the same block, a basis arrow again, and ``post_ids(g, x)`` lists
+    those composites in hom order: one table row per (g, x)."""
+    y = base.arrows()[g][1]
+    idx, off = [], 0
+    for x in xs:
+        shift = off - base.hom_start(x, y)
+        idx.extend(shift + gh for gh in base.post_ids(g, x))
+        off += len(base.hom(x, y))
+    return idx
+
+
+@dataclass(frozen=True)
+class _YonedaSum:
+    """A sum of representables as its dimensions and its index table,
+    ``index[g]`` the ``_yoneda_index`` of arrow id g: one description
+    that ``_representables`` turns into matrices and ``random_functor``
+    reads as it is."""
+
+    base: FinCategory
+    p: int
+    dims: dict
+    index: list
+
+
+def _yoneda_sum(base: FinCategory, xs: tuple, p: int) -> _YonedaSum:
+    dims = {y: sum(len(base.hom(x, y)) for x in xs) for y in base.objects}
+    index = [_yoneda_index(base, xs, g) for g in range(len(base.arrows()))]
+    return _YonedaSum(base, p, dims, index)
+
+
 def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFunctor:
     """k[Hom(x_1, -)] + ... + k[Hom(x_r, -)], one block per entry of
-    xs, assembled straight from the base's composition table.
-
-    The basis of block x at y is hom(x, y) in hom order, so the basis
-    arrow with id h sits at position h - ``hom_start(x, y)``; the
-    matrix of g has a 1 in row ``post_ids(g, x)[j] - hom_start(x, tgt)``
-    of column j, read off one table row per (g, x).
+    xs, with the matrix of arrow id g the 0/1 matrix of its index map
+    (``_yoneda_index``): a 1 in row idx[j] of column j.  The functor
+    keeps that table as ``index``.
 
     These are the only functors built without the check in
     ``LinearFunctor.__init__``, the way ``MonotoneMap.compose`` builds
-    its trusted composites; ``representable``, ``eta_shriek`` and the
-    sum under ``random_functor`` are built here.  The proof that stands in
-    for the check:
+    its trusted composites; ``representable`` and ``eta_shriek`` are
+    built here.  The proof that stands in for the check:
     the matrix of an arrow g sends the basis arrow h of a block to the
     basis arrow g o h of the same block, so F(g) F(f) sends h to
     g o (f o h) and F(g o f) sends it to (g o f) o h.  The two agree
@@ -372,28 +427,19 @@ def _representables(base: FinCategory, xs: tuple, p: int, name: str) -> LinearFu
     resolves the sum by R_0 = the r blocks with zero kernels, its
     minimal projective resolution.
     """
-    sizes = {(x, y): len(base.hom(x, y)) for x in set(xs) for y in base.objects}
-    dims = {y: sum(sizes[(x, y)] for x in xs) for y in base.objects}
-    mats = []
-    for g, m in enumerate(base.arrows()):
-        entries = {}
-        ro = co = 0
-        for x in xs:
-            start = base.hom_start(x, m[1])
-            for j, gf in enumerate(base.post_ids(g, x)):
-                entries[(ro + gf - start, co + j)] = 1
-            ro += sizes[(x, m[1])]
-            co += sizes[(x, m[0])]
-        mats.append(FinMatrix(dims[m[1]], dims[m[0]], entries, p))
+    S = _yoneda_sum(base, xs, p)
+    dims = S.dims
+    mats = [FinMatrix(dims[m[1]], dims[m[0]], {(i, j): 1 for j, i in enumerate(idx)}, p)
+            for m, idx in zip(base.arrows(), S.index)]
     gens = []
     for i, x in enumerate(xs):
         vec = [0] * dims[x]
-        vec[sum(sizes[(w, x)] for w in xs[:i])
+        vec[sum(len(base.hom(w, x)) for w in xs[:i])
             + base.arrow_id(base.identity(x)) - base.hom_start(x, x)] = 1
         gens.append((x, vec))
     F = object.__new__(LinearFunctor)
     F.base, F.p, F.dims, F.mats, F.name = base, p, dims, tuple(mats), name
-    F.generators = tuple(gens)
+    F.generators, F.index = tuple(gens), S.index
     return F
 
 
@@ -417,16 +463,23 @@ def random_functor(base: FinCategory, p: int, seed) -> LinearFunctor:
     leave the zero functor, which checks nothing, so the seed is
     re-derived a few times until something survives.
 
-    The sum of representables is trusted (see ``_representables``); the
-    subfunctor is closed under the generators only (see
-    ``_action_closure``); the quotient goes through the constructor, so
-    the returned functor is checked in full like any other."""
+    The sum of representables is read off its index table
+    (``_yoneda_sum``), and no matrix of it is built.  Since
+    dim Q(y) = dim P(y) - rank of the span at y, an attempt whose spans
+    are all full would give the zero quotient; it is passed over before
+    any quotient is built, which picks the attempt that building and
+    measuring every quotient would, and the last attempt is built
+    whatever it gives.  The subfunctor is closed under the generators
+    only (see ``_action_closure``); the quotient goes through the
+    constructor, so the returned functor is checked in full like any
+    other."""
     objs = list(base.objects)
-    for attempt in range(8):
+    attempts = 8
+    for attempt in range(attempts):
         # the "2:2" (generators, cuts) is part of every seeded stream
         rng = random.Random(f"functor:{seed}:{attempt}:2:2:{p}")
         xs = tuple(sorted(rng.choice(objs) for _ in range(2)))
-        P = _representables(base, xs, p, f"sum{xs!r}")
+        P = _yoneda_sum(base, xs, p)
         raw = []
         for _ in range(2):
             y = rng.choice(objs)
@@ -439,15 +492,15 @@ def random_functor(base: FinCategory, p: int, seed) -> LinearFunctor:
                 vec = [Fraction(rng.randrange(-3, 4)) for _ in range(dim)]
             raw.append((y, vec))
         sub = _action_closure(P, raw)
-        Q = _quotient_functor(P, sub, name=f"rand({seed})")
-        if Q.total_dim() > 0:
-            return Q
-    return Q
+        if attempt == attempts - 1 or any(sub[y].rank < P.dims[y] for y in objs):
+            return _quotient_functor(P, sub, name=f"rand({seed})")
 
 
-def _action_closure(P: LinearFunctor, raw: list) -> dict:
-    """Smallest subfunctor of P containing the given vectors, as an
-    echelon span per object.
+def _action_closure(P, raw: list) -> dict:
+    """Smallest subfunctor of a sum of representables P containing the
+    given vectors, as an echelon span per object.  P is anything with
+    the ``base``, ``p``, ``dims`` and ``index`` of a ``_YonedaSum``, a
+    functor built by ``_representables`` included.
 
     Each new direction is pushed along the generators out of its object
     (``generating_morphisms``), not along every arrow, and that closes
@@ -460,24 +513,37 @@ def _action_closure(P: LinearFunctor, raw: list) -> dict:
     subfunctor, and the smallest one, since any subfunctor containing
     the vectors contains everything pushed here.  This rests on P being
     a functor on an associative base, as every generator check does
-    (see ``generating_morphisms``)."""
-    p = P.p
-    spans = {y: Echelon(P.dims[y], p) for y in P.base.objects}
+    (see ``generating_morphisms``).
+
+    P(g) moves a vector by its index map, coordinate j to idx_g[j] with
+    coinciding targets summed; ``Echelon.insert`` reduces mod p.  Once
+    every span has full rank the closure is all of P, and the walk
+    stops."""
+    p, dims, index = P.p, P.dims, P.index
+    spans = {y: Echelon(dims[y], p) for y in P.base.objects}
     arrows, gens_from = P.base.arrows(), {}
     for g in generating_ids(P.base):
         gens_from.setdefault(arrows[g][0], []).append(g)
+    missing = sum(dims.values())
     frontier = list(raw)
-    while frontier:
+    while frontier and missing:
         y, vec = frontier.pop()
         if not spans[y].insert(vec):
             continue
+        missing -= 1
         for g in gens_from.get(y, ()):
-            frontier.append((arrows[g][1], _apply(P.mats[g], vec, p)))
+            z = arrows[g][1]
+            out = [0] * dims[z]
+            for i, c in zip(index[g], vec):
+                if c:
+                    out[i] += c
+            frontier.append((z, out))
     return spans
 
 
-def _quotient_functor(P: LinearFunctor, sub: dict, name="") -> LinearFunctor:
-    """P / S for a subfunctor given by echelon spans, in the basis of
+def _quotient_functor(P, sub: dict, name="") -> LinearFunctor:
+    """P / S for a subfunctor of a sum of representables given by
+    echelon spans (P as in ``_action_closure``), in the basis of
     coordinates complementary to the span's pivot columns.
 
     At each object y, with (R_y, piv_y) the reduced row echelon form of
@@ -487,29 +553,38 @@ def _quotient_functor(P: LinearFunctor, sub: dict, name="") -> LinearFunctor:
     is Proj_y v, with Proj_y the identity on the free coordinates and
     -R_y[:, free]^T on the pivot columns, and
     Q(m) = Proj_y P(m) Incl_x for m: x -> y, Incl_x the inclusion of
-    the free columns.  The result cannot depend on how the span was
-    found: a vector of the span that is zero on all its pivot columns
-    is zero, so the residue zero there is unique, and the pivot set of
-    an echelon basis is fixed by the span itself.  So neither the order
-    in which ``_action_closure`` inserted its vectors nor reducing by
-    whole matrices instead of column by column changes a single entry.
-    The constructor checks the quotient in full."""
-    p = P.p
-    proj, incl, dims = {}, {}, {}
-    for y in P.base.objects:
-        n = P.dims[y]
+    the free columns.  P(m) sends basis position j to idx_m(j), since
+    m o h is again a basis arrow, so column a of Q(m) is column
+    idx_m(free_x[a]) of Proj_y: e_b when that position is free column
+    b, and -R_y[r, free] when it is pivot column r.  Q(m) is gathered
+    so, entry for entry the product, and no product is taken.  The
+    result cannot depend on how the span was found: a vector of the
+    span that is zero on all its pivot columns is zero, so the residue
+    zero there is unique, and the pivot set of an echelon basis is
+    fixed by the span itself.  So neither the order in which
+    ``_action_closure`` inserted its vectors nor reducing by whole
+    matrices instead of column by column changes a single entry.  The
+    constructor checks the quotient in full."""
+    p, base = P.p, P.base
+    free, proj = {}, {}
+    for y in base.objects:
         R, piv = sub[y].matrix().rref()
         leads = set(piv)
-        free = [j for j in range(n) if j not in leads]
-        entries = {(a, j): 1 for a, j in enumerate(free)}
+        free[y] = [j for j in range(P.dims[y]) if j not in leads]
+        # column j of Proj_y as its (row, value) pairs
+        cols = [None] * P.dims[y]
+        for b, j in enumerate(free[y]):
+            cols[j] = ((b, 1),)
         for row, c in zip(R, piv):
-            for a, j in enumerate(free):
-                entries[(a, c)] = -row[j]
-        proj[y] = FinMatrix(len(free), n, entries, p)
-        incl[y] = FinMatrix(n, len(free), {(j, a): 1 for a, j in enumerate(free)}, p)
-        dims[y] = len(free)
-    mats = [proj[m[1]] @ (mat @ incl[m[0]]) for m, mat in zip(P.base.arrows(), P.mats)]
-    return LinearFunctor(P.base, p, dims, mats, name=name)
+            cols[c] = [(b, -row[j]) for b, j in enumerate(free[y]) if row[j]]
+        proj[y] = cols
+    mats = []
+    for m, idx in zip(base.arrows(), P.index):
+        cols = proj[m[1]]
+        entries = {(b, a): v for a, j in enumerate(free[m[0]]) for b, v in cols[idx[j]]}
+        mats.append(FinMatrix(len(free[m[1]]), len(free[m[0]]), entries, p))
+    dims = {y: len(free[y]) for y in base.objects}
+    return LinearFunctor(base, p, dims, mats, name=name)
 
 
 # -- projective resolutions ------------------------------------------------
@@ -570,8 +645,8 @@ class Resolution:
 
     def push(self, k: int, f: int, vec):
         """T_k(f) vec for the arrow id f.  On R_k this is the index
-        scatter (i, h) |-> (i, f o h), read off the base's composition
-        table (``FinCategory.post_ids``) and cached per (k, f);
+        scatter (i, h) |-> (i, f o h) of ``_yoneda_index``, cached per
+        (k, f);
         on T_{-1} = M it is the matrix M(f).  On R_k a vector may also
         be given sparsely, as {position: c}, and comes back the same way
         with its coefficients summed but not reduced."""
@@ -580,10 +655,7 @@ class Resolution:
         y = self.base.arrows()[f][1]
         idx = self._push_idx.get((k, f))
         if idx is None:
-            _, shifts = self.term_basis(k, y)
-            idx = [s + fh for x, s in zip(self.terms[k], shifts)
-                   for fh in self.base.post_ids(f, x)]
-            self._push_idx[(k, f)] = idx
+            idx = self._push_idx[(k, f)] = _yoneda_index(self.base, self.terms[k], f)
         if isinstance(vec, dict):
             out = {}
             for pos, c in vec.items():
@@ -678,7 +750,8 @@ def cover_resolution(M: LinearFunctor, length: int) -> Resolution:
     vectors (see ``_greedy_cover``); stage k+1 covers the kernel of the
     realized d_k.  Generators are chosen per object in canonical order
     and only when the pushforwards of earlier generators miss a
-    direction, so the terms stay small, and a sum of representables
+    direction, and then those that the pushforwards of later ones reach
+    are dropped, so the terms stay small, and a sum of representables
     resolves as itself.  Exactness at every interior slot is verified
     by rank bookkeeping as part of the build, not trusted.
 
@@ -749,33 +822,44 @@ def _greedy_cover(res: Resolution, k: int, targets_fn, seeds=()) -> list:
     (``res.push``) of all chosen generators span, at every object, the
     span of that object's target vectors.
 
-    The seeds are offered first, then every target in canonical object
-    order; an offered vector becomes a generator when the spans so far
-    miss it, and its pushforwards along every arrow out of its object,
-    the identity included, join the spans.  So every target ends inside
-    the span at its object whatever the seeds are, since spans only
-    grow: coverage never rests on the seeds.  A wrong seed only leaves
-    the walk more to add, so it costs generators, not correctness, and
-    the build certifies every stage by ranks regardless.  Seeds that do
-    generate (the identity coordinates of a sum of representables)
-    leave the walk nothing to add.
+    The walk offers the seeds first, then every target in canonical
+    object order (``_cover_walk``).  So every target ends inside the
+    span at its object whatever the seeds are, since spans only grow:
+    coverage never rests on the seeds.  A wrong seed only leaves the
+    walk more to add, and the build certifies every stage by ranks
+    regardless.  Seeds that do generate (the identity coordinates of a
+    sum of representables) leave the walk nothing to add.
+
+    A generator taken early is often reached later by the pushforwards
+    of one taken at another object, and every surplus generator adds
+    relations that the next stage must cover.  So one more walk offers
+    the chosen generators in reverse, into fresh spans, and keeps a
+    generator only if the kept ones after it miss it; the kept ones are
+    returned in walk order.  This is exact: a span of pushforwards is a
+    subfunctor, so a dropped generator lies in the subfunctor the kept
+    generators after it produce, and the kept generators produce
+    everything the walk's did.  One pass does not make the kept set
+    irredundant in general: a kept generator may still lie in the span
+    of the others.
     """
+    offers = chain(seeds, ((x, t) for x in res.base.objects for t in targets_fn(x)))
+    walk = _cover_walk(res, k, offers)
+    return _cover_walk(res, k, reversed(walk))[::-1]
+
+
+def _cover_walk(res: Resolution, k: int, offers) -> list:
+    """The offered (x, vec) in T_k(x) that the spans so far miss, in
+    offer order; each joins the generators and its pushforwards along
+    every arrow out of x, the identity included, join the spans."""
     base = res.base
     spans = {y: Echelon(res.term_dim(k, y), res.p) for y in base.objects}
     gens = []
-
-    def offer(x, t):
+    for x, t in offers:
         if not spans[x].contains(t):
             gens.append((x, list(t)))
             for y in base.objects:
                 for f in base.hom_ids(x, y):
                     spans[y].insert(res.push(k, f, t))
-
-    for x, t in seeds:
-        offer(x, t)
-    for x in base.objects:
-        for t in targets_fn(x):
-            offer(x, t)
     return gens
 
 

@@ -93,6 +93,16 @@ def test_tw_build_round_trips(tmp_path):
            {k: [t[2] for t in v] for k, v in D.homs.items()}
 
 
+@pytest.mark.parametrize("out", [None, "tw2.csv"])
+def test_tw_build_needs_a_json_out(tmp_path, capsys, out):
+    argv = ["tw", "build", "--operad", "com", "--max-arity", "2"]
+    if out:
+        argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_tampered_dump_is_certified_failure(tmp_path):
     out = tmp_path / "tw2.json"
     main(["tw", "build", "--operad", "com", "--max-arity", "2",
